@@ -55,7 +55,6 @@ from .counting import (
     full_count,
     full_count_error_bound,
     grover_count,
-    grover_count_error_bound,
     grover_mixture,
     partial_count,
     partial_count_error_bound,

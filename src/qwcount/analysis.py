@@ -11,7 +11,6 @@ fails (nothing passes vacuously).
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -253,12 +252,11 @@ def _sweep_point(point: tuple[int, int, int, int, int], checks: tuple[str, ...])
     )
 
 
-def run_sweep(cfg: SweepConfig, max_workers: int | None = None) -> list[SweepRecord]:
+def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     """Evaluate every feasible grid point, in lexicographic (n0,n1,k0,k1,p) order.
 
     Infeasible points (a marked count exceeding its part size) are skipped
-    with a logged notice.  The result is a pure function of the config; worker
-    count only affects wall time.
+    with a logged notice.  The result is a pure function of the config.
     """
     points = []
     for n0 in cfg.n0_values:
@@ -271,9 +269,6 @@ def run_sweep(cfg: SweepConfig, max_workers: int | None = None) -> list[SweepRec
                         continue
                     for p in cfg.p_values:
                         points.append((n0, n1, k0, k1, p))
-    if max_workers is not None and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as executor:
-            return list(executor.map(lambda pt: _sweep_point(pt, cfg.checks), points))
     return [_sweep_point(pt, cfg.checks) for pt in points]
 
 

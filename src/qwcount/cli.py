@@ -19,7 +19,6 @@ import csv
 import io
 import json
 import logging
-import os
 import sys
 
 import numpy as np
@@ -173,9 +172,10 @@ def _render_csv(rows, fieldnames) -> str:
 
 
 def _render_json(rows, fieldnames) -> str:
+    keys = [(json.dumps(name), name) for name in fieldnames]
     items = []
     for row in rows:
-        body = ", ".join(f"{json.dumps(name)}: {_json_scalar(row[name])}" for name in fieldnames)
+        body = ", ".join(f"{key}: {_json_scalar(row[name])}" for key, name in keys)
         items.append("  {" + body + "}")
     if not items:
         return "[]\n"
@@ -240,81 +240,70 @@ def _cmd_distribution(args) -> tuple[list[dict], tuple[str, ...], int]:
 
 
 def _part_rows(dist) -> list[dict]:
+    columns = (dist.omega.tolist(), dist.theta_est.tolist(), dist.k_est.tolist(), dist.mass.tolist())
     return [
         {
             "p": dist.p,
             "part": dist.part,
             "n_part": dist.n_target,
             "k_part": dist.k_true,
-            "omega_index": o.omega_index,
-            "omega_radians": o.omega,
-            "theta_est": o.theta_est,
-            "k_est": o.k_est,
-            "mass": o.mass,
+            "omega_index": index,
+            "omega_radians": omega,
+            "theta_est": theta_est,
+            "k_est": k_est,
+            "mass": mass,
             "bound": dist.bound,
             "oracle_queries": dist.oracle_queries,
         }
-        for o in dist.outcomes
+        for index, (omega, theta_est, k_est, mass) in enumerate(zip(*columns))
     ]
+
+
+def _total_rows(joint) -> list[dict]:
+    part1 = list(enumerate(zip(joint.part1.k_est.tolist(), joint.part1.mass.tolist())))
+    rows = []
+    for index0, (k0, m0) in enumerate(zip(joint.part0.k_est.tolist(), joint.part0.mass.tolist())):
+        for index1, (k1, m1) in part1:
+            rows.append({
+                "p": joint.p,
+                "omega_index_0": index0,
+                "omega_index_1": index1,
+                "k_est_0": k0,
+                "k_est_1": k1,
+                "k_est": k0 + k1,
+                "mass": m0 * m1,
+                "bound": joint.bound,
+                "oracle_queries": joint.oracle_queries,
+            })
+    return rows
 
 
 def _cmd_count(args) -> tuple[list[dict], tuple[str, ...], int]:
     inst = _instance_from_args(args)
     if args.trials < 1:
         raise UsageError(f"--trials must be at least 1, got {args.trials}")
+    part = None if args.part == "both" else int(args.part)
+    if args.mode == "sampled":
+        seed = args.seed if args.seed is not None else _generate_seed()
+    dist = full_count(args.p, inst) if part is None else partial_count(args.p, inst, part)
     if args.mode == "exact":
-        if args.part in ("0", "1"):
-            dist = partial_count(args.p, inst, int(args.part), "exact")
-            return _part_rows(dist), PART_COUNT_FIELDS, 0
-        joint = full_count(args.p, inst, "exact")
-        rows = []
-        for o0 in joint.part0.outcomes:
-            for o1 in joint.part1.outcomes:
-                rows.append({
-                    "p": joint.p,
-                    "omega_index_0": o0.omega_index,
-                    "omega_index_1": o1.omega_index,
-                    "k_est_0": o0.k_est,
-                    "k_est_1": o1.k_est,
-                    "k_est": o0.k_est + o1.k_est,
-                    "mass": o0.mass * o1.mass,
-                    "bound": joint.bound,
-                    "oracle_queries": joint.oracle_queries,
-                })
-        return rows, TOTAL_COUNT_FIELDS, 0
+        if part is None:
+            return _total_rows(dist), TOTAL_COUNT_FIELDS, 0
+        return _part_rows(dist), PART_COUNT_FIELDS, 0
 
-    seed = args.seed if args.seed is not None else _generate_seed()
+    # One pushforward per run; trial t draws with its own derived generator.
     rows = []
-    if args.part in ("0", "1"):
-        part = int(args.part)
-        for trial in range(args.trials):
-            estimate = partial_count(args.p, inst, part, "sampled", _trial_seed(seed, trial))
-            rows.append({
-                "trial": trial,
-                "p": estimate.p,
-                "part": part,
-                "k_est": estimate.k_est,
-                "k_rounded": estimate.k_rounded,
-                "theta_est": estimate.theta_est,
-                "bound": estimate.bound,
-                "oracle_queries": estimate.oracle_queries,
-                "seed": seed,
-            })
-        return rows, SAMPLED_PART_FIELDS, 0
     for trial in range(args.trials):
-        estimate = full_count(args.p, inst, "sampled", _trial_seed(seed, trial))
-        rows.append({
-            "trial": trial,
-            "p": estimate.p,
-            "k_est_0": estimate.part0.k_est,
-            "k_est_1": estimate.part1.k_est,
-            "k_est": estimate.k_est,
-            "k_rounded": estimate.k_rounded,
-            "bound": estimate.bound,
-            "oracle_queries": estimate.oracle_queries,
-            "seed": seed,
-        })
-    return rows, SAMPLED_TOTAL_FIELDS, 0
+        estimate = dist.draw(np.random.default_rng(_trial_seed(seed, trial)))
+        row = {"trial": trial, "p": estimate.p, "k_est": estimate.k_est,
+               "k_rounded": estimate.k_rounded, "bound": estimate.bound,
+               "oracle_queries": estimate.oracle_queries, "seed": seed}
+        if part is None:
+            row.update(k_est_0=estimate.part0.k_est, k_est_1=estimate.part1.k_est)
+        else:
+            row.update(part=part, theta_est=estimate.theta_est)
+        rows.append(row)
+    return rows, SAMPLED_TOTAL_FIELDS if part is None else SAMPLED_PART_FIELDS, 0
 
 
 def _cmd_sweep(args) -> tuple[list[dict], tuple[str, ...], int]:
@@ -322,16 +311,7 @@ def _cmd_sweep(args) -> tuple[list[dict], tuple[str, ...], int]:
         cfg = load_sweep_config(args.config)
     except ValueError as exc:
         raise UsageError(f"invalid sweep config: {exc}")
-    max_workers = None
-    env_workers = os.environ.get("QWCOUNT_THREADS")
-    if env_workers:
-        try:
-            max_workers = int(env_workers)
-        except ValueError:
-            raise UsageError(f"QWCOUNT_THREADS must be an integer, got {env_workers!r}")
-        if max_workers < 1:
-            raise UsageError(f"QWCOUNT_THREADS must be positive, got {max_workers}")
-    records = run_sweep(cfg, max_workers=max_workers)
+    records = run_sweep(cfg)
     rows = [record.as_dict() for record in records]
     status = 0 if all(record.all_passed() for record in records) else 2
     if args.format is None:
@@ -370,13 +350,7 @@ def main(argv=None) -> int:
         rows, fieldnames, status = _COMMANDS[args.command](args)
         emit(rows, fieldnames, args.format or "csv", args.output)
         return status
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, ResourceLimitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (UsageError, ValueError, ResourceLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -195,19 +195,6 @@ def test_sweep_threshold_failure_exits_2(capsys, tmp_path):
     assert ",false" in out
 
 
-def test_sweep_respects_thread_override(capsys, tmp_path, monkeypatch):
-    config = tmp_path / "sweep.cfg"
-    config.write_text("n0 = 2..3\nn1 = 2..3\np = 4\n")
-    monkeypatch.delenv("QWCOUNT_THREADS", raising=False)
-    _, serial, _ = run_cli(capsys, "sweep", "--config", str(config))
-    monkeypatch.setenv("QWCOUNT_THREADS", "3")
-    _, threaded, _ = run_cli(capsys, "sweep", "--config", str(config))
-    assert serial == threaded
-    monkeypatch.setenv("QWCOUNT_THREADS", "zero")
-    status, _, _ = run_cli(capsys, "sweep", "--config", str(config))
-    assert status == 1
-
-
 def test_sweep_bad_config_exits_1(capsys, tmp_path):
     config = tmp_path / "sweep.cfg"
     config.write_text("n0 = 2\nn1 = 2\np = 4\nbogus = 1\n")

@@ -56,7 +56,7 @@ GOLDEN = {
 # The default k0 range 0..3 makes n0 = 2, k0 = 3 infeasible: skipped points
 # are part of the golden run.
 SWEEP_CONFIG = "n0 = 2..3\nn1 = 2..3\nk1 = 0..1\np = 4,5\n"
-SWEEP_DIGEST = "c996683daaf9de7376bb84e704ab9a5ed03b2494bee1aabb2d8d2a28df33913e"
+SWEEP_DIGEST = "cb2e29e82f73f3330149d3cfa85f27211ef2f89d7590b04f2527b2326de2e635"
 
 
 def _stdout_sha256(capsys, argv) -> str:

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +21,6 @@ from qwcount import (
     full_count_error_bound,
     GOOD_ESTIMATE_PROBABILITY,
     grover_count,
-    grover_count_error_bound,
     grover_mixture,
     partial_count,
     partial_count_error_bound,
@@ -65,6 +66,26 @@ def test_estimate_k_values():
     assert estimate_k(math.pi / 4, 4) == pytest.approx(2.0, abs=1e-12)
 
 
+def _literal_fold(omega: float) -> float:
+    # The scalar folding rules, kept as the reference for the elementwise form.
+    if math.pi < omega < TWO_PI:
+        omega = TWO_PI - omega
+    return math.pi - omega if omega > math.pi / 2.0 else omega
+
+
+@pytest.mark.parametrize("p", range(1, 15))
+def test_elementwise_fold_matches_literal_fold(p):
+    omegas = TWO_PI * np.arange(2**p) / 2**p
+    folded = fold_phase(omegas)
+    assert folded.tolist() == [_literal_fold(w) for w in omegas.tolist()]
+    reflected = reflect_phase(omegas).tolist()
+    assert reflected == [TWO_PI - w if math.pi < w < TWO_PI else w for w in omegas.tolist()]
+    for n in (1, 7, 37):
+        # np.sin may round differently from math.sin in the last bit.
+        literal = np.array([n * math.sin(t) ** 2 for t in folded.tolist()])
+        assert np.abs(estimate_k(folded, n) - literal).max() <= 4 * np.finfo(float).eps * n
+
+
 def test_partial_bound_values():
     # Direct evaluation of the bound formula.
     assert partial_count_error_bound(0, 5, 16) == pytest.approx(math.pi**2 * 5 / 256, abs=1e-15)
@@ -84,21 +105,31 @@ def test_adjusted_bound_is_nominal_at_half_grid():
     for k, n, p in ((3, 7, 5), (1, 4, 6), (2, 8, 4)):
         adjusted = adjusted_partial_count_error_bound(k, n, 2**p)
         assert adjusted == pytest.approx(partial_count_error_bound(k, n, 2**(p - 1)), abs=1e-12)
+        # The literal adjusted formula, bit for bit.
+        spread = math.sqrt(k * (n - k))
+        assert adjusted == 2.0 * TWO_PI * spread / 2**p + 4.0 * math.pi**2 * n / (2**p) ** 2
     assert adjusted_full_count_error_bound(2, 4, 1, 3, 64) == pytest.approx(
         adjusted_partial_count_error_bound(2, 4, 64) + adjusted_partial_count_error_bound(1, 3, 64), abs=0)
 
 
 def test_grover_bound_values():
-    assert grover_count_error_bound(16, 16, 64) == pytest.approx(math.pi**2 * 16 / 4096, abs=1e-15)
-    assert grover_count_error_bound(4, 16, 64) == pytest.approx(0.718727903779587, abs=1e-12)
+    # The unstructured-search baseline uses the single-part radius.
+    assert partial_count_error_bound(16, 16, 64) == pytest.approx(math.pi**2 * 16 / 4096, abs=1e-15)
+    assert partial_count_error_bound(4, 16, 64) == pytest.approx(0.718727903779587, abs=1e-12)
     # The spread term peaks at half marking.
-    bounds = [grover_count_error_bound(k, 16, 64) for k in range(17)]
+    bounds = [partial_count_error_bound(k, 16, 64) for k in range(17)]
     assert max(bounds) == bounds[8]
 
 
 def test_bounds_reject_bad_grid():
     with pytest.raises(ValueError):
         partial_count_error_bound(1, 2, 0)
+    for adjusted in (lambda g: adjusted_partial_count_error_bound(1, 2, g),
+                     lambda g: adjusted_full_count_error_bound(1, 2, 0, 3, g)):
+        with pytest.raises(ValueError):
+            adjusted(0)
+    # A one-point register is valid: the adjusted radius evaluates the nominal one at 1/2.
+    assert adjusted_partial_count_error_bound(1, 2, 1) == partial_count_error_bound(1, 2, 0.5)
 
 
 def test_single_part_instance():
@@ -129,9 +160,16 @@ def test_partial_count_metadata():
     assert dist.part == 1 and dist.n_target == 3 and dist.k_true == 1
     assert dist.oracle_queries == 63
     assert dist.bound == partial_count_error_bound(1, 3, 64)
-    assert dist.masses().sum() == pytest.approx(1.0, abs=1e-10)
-    assert all(0.0 <= o.theta_est <= math.pi / 2 for o in dist.outcomes)
-    assert all(abs(o.k_est - estimate_k(o.theta_est, 3)) < 1e-15 for o in dist.outcomes)
+    assert dist.mass.sum() == pytest.approx(1.0, abs=1e-10)
+    assert np.array_equal(dist.omega, TWO_PI * np.arange(64) / 64)
+    assert ((0.0 <= dist.theta_est) & (dist.theta_est <= math.pi / 2)).all()
+    assert all(abs(k - 3 * math.sin(t) ** 2) < 1e-15
+               for k, t in zip(dist.k_est.tolist(), dist.theta_est.tolist()))
+    for name in ("omega", "theta_est", "k_est", "mass"):
+        values = getattr(dist, name)
+        assert values.dtype == np.float64 and values.shape == (64,)
+        with pytest.raises(ValueError):
+            values[0] = 0.0
 
 
 def test_partial_count_matches_circuit_pushforward():
@@ -144,7 +182,7 @@ def test_partial_count_matches_circuit_pushforward():
     circuit = circuit_distribution(
         build_evolution(inst, build_part_oracle(inst, 1)), uniform_state(inst), p)
     pipeline = partial_count(p, inst, 1)
-    assert np.abs(pipeline.masses() - circuit.mass).max() < 1e-12
+    assert np.abs(pipeline.mass - circuit.mass).max() < 1e-12
     bound = pipeline.bound
     reference = sum(
         float(mass) for omega, mass in zip(circuit.omegas(), circuit.mass)
@@ -226,8 +264,8 @@ def test_permutation_invariance_bitwise():
     relabeled = BipartiteInstance(4, 3, frozenset({0, 2}), frozenset({0}))
     a, b = full_count(5, FIG2), full_count(5, relabeled)
     for part_a, part_b in ((a.part0, b.part0), (a.part1, b.part1)):
-        assert np.array_equal(part_a.masses(), part_b.masses())
-        assert np.array_equal(part_a.k_values(), part_b.k_values())
+        assert np.array_equal(part_a.mass, part_b.mass)
+        assert np.array_equal(part_a.k_est, part_b.k_est)
     assert a.bound == b.bound
 
 
@@ -249,6 +287,26 @@ def test_sampled_full_count():
     assert estimate.k_est == estimate.part0.k_est + estimate.part1.k_est
     assert estimate.oracle_queries == 62
     assert full_count(5, FIG2, "sampled", seed=7) == estimate
+
+
+def test_sampled_mode_draws_from_the_exact_distribution():
+    # Sampled mode is one draw from the exact pushforward with default_rng(seed).
+    for seed in (0, 7, 123):
+        joint = full_count(5, FIG2)
+        assert full_count(5, FIG2, "sampled", seed=seed) == replace(
+            joint.draw(np.random.default_rng(seed)), seed=seed)
+        assert partial_count(5, FIG2, 1, "sampled", seed=seed) == replace(
+            joint.part1.draw(np.random.default_rng(seed)), seed=seed)
+        assert grover_count(5, 16, 4, "sampled", seed=seed) == replace(
+            grover_count(5, 16, 4).draw(np.random.default_rng(seed)), seed=seed)
+    dist = partial_count(4, FIG2, 0)
+    rng = np.random.default_rng(1)
+    counts = {}
+    for _ in range(4000):
+        k = dist.draw(rng).k_est
+        counts[k] = counts.get(k, 0) + 1
+    for k, count in counts.items():
+        assert count / 4000 == pytest.approx(dist.mass[dist.k_est == k].sum(), abs=0.03)
 
 
 def test_rounding_is_half_to_even():
@@ -279,7 +337,7 @@ def test_grover_count_on_grid_certainty():
 def test_grover_count_bound_mass():
     dist = grover_count(6, 16, 4)
     assert dist.part is None
-    assert dist.bound == grover_count_error_bound(4, 16, 64)
+    assert dist.bound == partial_count_error_bound(4, 16, 64)
     assert dist.mass_within(dist.bound) >= GOOD_ESTIMATE_PROBABILITY - 1e-9
     assert dist.oracle_queries == 63
 
@@ -296,7 +354,7 @@ def test_grover_count_matches_operator_circuit(n, k, p):
     analytic = exact_distribution(grover_mixture(n, k), p)
     assert total_variation(analytic, circuit) < 1e-8
     pipeline = grover_count(p, n, k)
-    assert np.abs(pipeline.masses() - analytic.mass).max() < 1e-14
+    assert np.abs(pipeline.mass - analytic.mass).max() < 1e-14
 
 
 def test_grover_count_validation():
@@ -318,4 +376,62 @@ def test_grover_sampled_determinism():
 def test_partial_masses_normalized(inst):
     for part in (0, 1):
         dist = partial_count(4, inst, part)
-        assert dist.masses().sum() == pytest.approx(1.0, abs=1e-10)
+        assert dist.mass.sum() == pytest.approx(1.0, abs=1e-10)
+
+
+def _pairwise_joint_mass(joint, radius, center=None):
+    # The literal P x P sum over outcome pairs: reference for the sorted path.
+    c = float(joint.k_true) if center is None else center
+    totals = joint.part0.k_est[:, None] + joint.part1.k_est[None, :]
+    pair_mass = joint.part0.mass[:, None] * joint.part1.mass[None, :]
+    return float(pair_mass[np.abs(totals - c) <= radius].sum())
+
+
+@pytest.mark.parametrize("p", range(1, 7))
+def test_joint_mass_matches_pairwise_sum(p):
+    # Every part case with n <= 8; part distributions depend on (n_j, k_j, p) only.
+    sizes = [(n, k) for n in range(1, 9) for k in range(n + 1)]
+    part0 = {(n, k): partial_count(p, BipartiteInstance.from_counts(n, 1, k, 0), 0) for n, k in sizes}
+    part1 = {(n, k): partial_count(p, BipartiteInstance.from_counts(1, n, 0, k), 1) for n, k in sizes}
+    threshold = 0.65 - 1e-9
+    for n0, k0 in sizes:
+        for n1, k1 in sizes:
+            joint = FullCountDistribution(
+                p=p, k_true=k0 + k1, bound=full_count_error_bound(k0, n0, k1, n1, 2**p),
+                oracle_queries=2 * (2**p - 1), part0=part0[n0, k0], part1=part1[n1, k1])
+            i, j = int(joint.part0.mass.argmax()), int(joint.part1.mass.argmax())
+            tie = abs((joint.part0.k_est[i] + joint.part1.k_est[j]) - joint.k_true)
+            adjusted = adjusted_full_count_error_bound(k0, n0, k1, n1, 2**p)
+            for radius in (joint.bound, adjusted, 0.0, tie):
+                fast, literal = joint.mass_within(radius), _pairwise_joint_mass(joint, radius)
+                assert abs(fast - literal) <= 1e-14, (n0, k0, n1, k1, radius)
+                assert (fast >= threshold) == (literal >= threshold)
+
+
+def test_joint_mass_edge_radii():
+    joint = full_count(6, BipartiteInstance.from_counts(8, 8, 3, 5))
+    for radius, center in ((math.inf, None), (-1.0, None), (1e300, None), (3.0, -5.0),
+                           (3.0, 1e6), (3.0, 0.0), (1e-9, 8.0), (math.nan, None)):
+        expected = _pairwise_joint_mass(joint, radius, center)
+        assert joint.mass_within(radius, center) == pytest.approx(expected, abs=1e-14)
+    # At p = 2 every k_est is 0 or n, so runs of equal values sit on each edge.
+    joint = full_count(2, BipartiteInstance.from_counts(4, 4, 2, 2))
+    assert set(joint.part0.k_est.tolist()) == {0.0, 4.0}
+    for radius in (0.0, 4.0, 8.0):
+        for center in (0.0, 4.0, 8.0):
+            assert joint.mass_within(radius, center) == pytest.approx(
+                _pairwise_joint_mass(joint, radius, center), abs=1e-15)
+
+
+def test_joint_mass_memory_stays_linear():
+    # The P x P path allocated several 128 MiB arrays at p = 12.
+    inst = BipartiteInstance.from_counts(8, 8, 3, 5)
+    tracemalloc.start()
+    try:
+        joint = full_count(12, inst)
+        mass = joint.mass_within(joint.bound)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert mass >= 0.65
