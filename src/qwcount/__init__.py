@@ -2,7 +2,7 @@
 complete bipartite graphs."""
 
 from .errors import ResourceLimitError
-from .linalg import dagger, eigen_residual, mat_mul, mat_vec, unitarity_defect
+from .linalg import eigen_residual, mat_mul, unitarity_defect
 from .walk import (
     ArcIndex,
     BipartiteInstance,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import full_count, partial_count
+from .counting import CountDistribution, FullCountDistribution, full_count, partial_count
 from .linalg import eigen_residual, unitarity_defect
 from .phase_estimation import (
     GOOD_ESTIMATE_PROBABILITY,
@@ -67,7 +67,13 @@ FULL_COUNT_SUCCESS_PROBABILITY = 0.65
 # Guard for routines that build the full arc space.
 MAX_FULL_SPACE_EDGES = 64
 
-_DEFAULT_SLACK = 1e-9
+# Verify-suite limits.  A bound mass passes when it reaches its threshold
+# less _THRESHOLD_SLACK, which absorbs rounding in the exact sums.
+_STRUCTURAL_TOL = 1e-10
+_IDENTITY_TOL = 1e-12
+_RESIDUAL_TOL = 1e-12
+_CROSS_MODE_TOL = 1e-8
+_THRESHOLD_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -78,28 +84,26 @@ class BoundReport:
     satisfied_mass: float
     threshold: float
 
-    def passed(self, slack: float = _DEFAULT_SLACK) -> bool:
-        return self.satisfied_mass >= self.threshold - slack
+    def passed(self) -> bool:
+        return self.satisfied_mass >= self.threshold - _THRESHOLD_SLACK
+
+
+def _part_report(dist: CountDistribution) -> BoundReport:
+    return BoundReport(dist.bound, dist.mass_within(dist.bound), GOOD_ESTIMATE_PROBABILITY)
+
+
+def _total_report(joint: FullCountDistribution) -> BoundReport:
+    return BoundReport(joint.bound, joint.mass_within(joint.bound), FULL_COUNT_SUCCESS_PROBABILITY)
 
 
 def bound_satisfaction_mass(inst: BipartiteInstance, part: int, p: int) -> BoundReport:
     """Exact mass of ``|k̃_j - k_j| <= bound`` for the single-part count."""
-    dist = partial_count(p, inst, part, "exact")
-    return BoundReport(
-        bound_value=dist.bound,
-        satisfied_mass=dist.mass_within(dist.bound),
-        threshold=GOOD_ESTIMATE_PROBABILITY,
-    )
+    return _part_report(partial_count(p, inst, part, "exact"))
 
 
 def joint_success_mass(inst: BipartiteInstance, p: int) -> BoundReport:
     """Exact joint mass of ``|k̃ - k| <= bound`` for the two-run total count."""
-    joint = full_count(p, inst, "exact")
-    return BoundReport(
-        bound_value=joint.bound,
-        satisfied_mass=joint.mass_within(joint.bound),
-        threshold=FULL_COUNT_SUCCESS_PROBABILITY,
-    )
+    return _total_report(full_count(p, inst, "exact"))
 
 
 @dataclass(frozen=True)
@@ -231,24 +235,22 @@ def _sweep_point(point: tuple[int, int, int, int, int], checks: tuple[str, ...])
     n0, n1, k0, k1, p = point
     inst = BipartiteInstance.from_counts(n0, n1, k0, k1)
     angles = angles_from_instance(inst)
-    part0 = part1 = total = None
-    if "partial" in checks:
-        part0 = bound_satisfaction_mass(inst, 0, p)
-        part1 = bound_satisfaction_mass(inst, 1, p)
-    if "total" in checks:
-        total = joint_success_mass(inst, p)
+    joint = full_count(p, inst, "exact")
+    partial, total = "partial" in checks, "total" in checks
+    reports = {
+        "part0": _part_report(joint.part0) if partial else None,
+        "part1": _part_report(joint.part1) if partial else None,
+        "total": _total_report(joint) if total else None,
+    }
+    fields = {}
+    for name, report in reports.items():
+        values = (None,) * 3 if report is None else (
+            report.bound_value, report.satisfied_mass, report.passed())
+        fields.update(zip((f"{name}_bound", f"{name}_mass", f"{name}_pass"), values))
     return SweepRecord(
         n0=n0, n1=n1, k0=k0, k1=k1, p=p,
         theta0=angles.theta0, theta1=angles.theta1, mu=angles.mu, sigma=angles.sigma,
-        part0_bound=None if part0 is None else part0.bound_value,
-        part0_mass=None if part0 is None else part0.satisfied_mass,
-        part0_pass=None if part0 is None else part0.passed(),
-        part1_bound=None if part1 is None else part1.bound_value,
-        part1_mass=None if part1 is None else part1.satisfied_mass,
-        part1_pass=None if part1 is None else part1.passed(),
-        total_bound=None if total is None else total.bound_value,
-        total_mass=None if total is None else total.satisfied_mass,
-        total_pass=None if total is None else total.passed(),
+        **fields,
     )
 
 
@@ -256,19 +258,24 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     """Evaluate every feasible grid point, in lexicographic (n0,n1,k0,k1,p) order.
 
     Infeasible points (a marked count exceeding its part size) are skipped
-    with a logged notice.  The result is a pure function of the config.
+    with one INFO summary (per-point notices at DEBUG).  The result is a pure
+    function of the config.
     """
     points = []
+    skipped = 0
     for n0 in cfg.n0_values:
         for n1 in cfg.n1_values:
             for k0 in cfg.k0_values:
                 for k1 in cfg.k1_values:
                     if k0 > n0 or k1 > n1:
-                        logger.info("skipping infeasible grid point n0=%d n1=%d k0=%d k1=%d",
-                                    n0, n1, k0, k1)
+                        logger.debug("skipping infeasible grid point n0=%d n1=%d k0=%d k1=%d",
+                                     n0, n1, k0, k1)
+                        skipped += 1
                         continue
                     for p in cfg.p_values:
                         points.append((n0, n1, k0, k1, p))
+    if skipped:
+        logger.info("skipped %d infeasible grid points", skipped)
     return [_sweep_point(pt, cfg.checks) for pt in points]
 
 
@@ -277,7 +284,7 @@ class CheckResult:
     """One verify-suite check: measured value against its limit.
 
     ``kind`` is "max" when the value must stay at or below the limit and
-    "min" when it must reach the limit (up to the slack used at build time).
+    "min" when it must reach the limit less ``_THRESHOLD_SLACK``.
     """
 
     name: str
@@ -297,11 +304,6 @@ class VerificationReport:
 
 
 def verify_suite(inst: BipartiteInstance, p: int, *,
-                 structural_tol: float = 1e-10,
-                 identity_tol: float = 1e-12,
-                 residual_tol: float = 1e-12,
-                 cross_mode_tol: float = 1e-8,
-                 threshold_slack: float = _DEFAULT_SLACK,
                  oracle: np.ndarray | None = None) -> VerificationReport:
     """Run every structural and statistical check on one instance.
 
@@ -321,10 +323,6 @@ def verify_suite(inst: BipartiteInstance, p: int, *,
     def check_max(name: str, value: float, limit: float) -> None:
         checks.append(CheckResult(name, float(value), limit, "max", float(value) <= limit))
 
-    def check_min(name: str, value: float, limit: float) -> None:
-        checks.append(CheckResult(name, float(value), limit, "min",
-                                  float(value) >= limit - threshold_slack))
-
     shift = build_shift(inst)
     coin = build_coin(inst)
     oracle_matrix = build_oracle(inst) if oracle is None else np.asarray(oracle, dtype=np.complex128)
@@ -332,41 +330,41 @@ def verify_suite(inst: BipartiteInstance, p: int, *,
     ancilla_oracles = {j: build_ancilla_oracle(inst, j) for j in (0, 1)}
     evolution = build_evolution(inst, oracle_matrix)
 
-    check_max("unitarity_shift", unitarity_defect(shift), structural_tol)
-    check_max("unitarity_coin", unitarity_defect(coin), structural_tol)
-    check_max("unitarity_oracle", unitarity_defect(oracle_matrix), structural_tol)
+    check_max("unitarity_shift", unitarity_defect(shift), _STRUCTURAL_TOL)
+    check_max("unitarity_coin", unitarity_defect(coin), _STRUCTURAL_TOL)
+    check_max("unitarity_oracle", unitarity_defect(oracle_matrix), _STRUCTURAL_TOL)
     for j in (0, 1):
-        check_max(f"unitarity_part_oracle_{j}", unitarity_defect(part_oracles[j]), structural_tol)
-        check_max(f"unitarity_ancilla_oracle_{j}", unitarity_defect(ancilla_oracles[j]), structural_tol)
-    check_max("unitarity_evolution", unitarity_defect(evolution), structural_tol)
+        check_max(f"unitarity_part_oracle_{j}", unitarity_defect(part_oracles[j]), _STRUCTURAL_TOL)
+        check_max(f"unitarity_ancilla_oracle_{j}", unitarity_defect(ancilla_oracles[j]), _STRUCTURAL_TOL)
+    check_max("unitarity_evolution", unitarity_defect(evolution), _STRUCTURAL_TOL)
 
     identity = np.eye(inst.dim)
-    check_max("involution_shift", np.abs(shift @ shift - identity).max(), identity_tol)
-    check_max("involution_coin", np.abs(coin @ coin - identity).max(), identity_tol)
-    check_max("involution_oracle", np.abs(oracle_matrix @ oracle_matrix - identity).max(), identity_tol)
+    check_max("involution_shift", np.abs(shift @ shift - identity).max(), _IDENTITY_TOL)
+    check_max("involution_coin", np.abs(coin @ coin - identity).max(), _IDENTITY_TOL)
+    check_max("involution_oracle", np.abs(oracle_matrix @ oracle_matrix - identity).max(), _IDENTITY_TOL)
     check_max("part_oracle_product",
-              np.abs(part_oracles[0] @ part_oracles[1] - oracle_matrix).max(), identity_tol)
+              np.abs(part_oracles[0] @ part_oracles[1] - oracle_matrix).max(), _IDENTITY_TOL)
     for j in (0, 1):
         check_max(f"ancilla_restriction_{j}",
                   np.abs(restrict_to_plus_ancilla(ancilla_oracles[j]) - part_oracles[j]).max(),
-                  identity_tol)
+                  _IDENTITY_TOL)
 
     basis = invariant_basis(inst)
     angles = angles_from_instance(inst)
     projected, leakage = reduce_operator(evolution, basis)
-    check_max("invariant_leakage", leakage, structural_tol)
+    check_max("invariant_leakage", leakage, _STRUCTURAL_TOL)
     present = basis.present_indices()
     analytic = build_reduced_evolution(angles)[np.ix_(present, present)]
-    check_max("reduced_reconciliation", np.abs(projected - analytic).max(), structural_tol)
+    check_max("reduced_reconciliation", np.abs(projected - analytic).max(), _STRUCTURAL_TOL)
 
     decomposition = spectral_decomposition(angles)
     reduced_matrix = build_reduced_evolution(angles)
     residual = max(eigen_residual(reduced_matrix, r.eigenvalue, r.eigenvector)
                    for r in decomposition.records)
-    check_max("eigen_residual_max", residual, residual_tol)
+    check_max("eigen_residual_max", residual, _RESIDUAL_TOL)
     eigenvectors = np.column_stack([r.eigenvector for r in decomposition.records])
     check_max("eigenvector_gram_defect",
-              np.abs(eigenvectors.conj().T @ eigenvectors - np.eye(8)).max(), residual_tol)
+              np.abs(eigenvectors.conj().T @ eigenvectors - np.eye(8)).max(), _RESIDUAL_TOL)
 
     cos_mu, cos_sigma = np.cos(angles.mu), np.cos(angles.sigma)
     closed_forms = np.array([
@@ -374,17 +372,17 @@ def verify_suite(inst: BipartiteInstance, p: int, *,
         (1 + cos_mu) / 8, (1 - cos_mu) / 8, (1 + cos_mu) / 8, (1 - cos_mu) / 8,
     ])
     overlaps = decomposition.overlaps()
-    check_max("overlap_closed_form", np.abs(overlaps - closed_forms).max(), residual_tol)
-    check_max("overlap_sum", abs(overlaps.sum() - 1.0), residual_tol)
+    check_max("overlap_closed_form", np.abs(overlaps - closed_forms).max(), _RESIDUAL_TOL)
+    check_max("overlap_sum", abs(overlaps.sum() - 1.0), _RESIDUAL_TOL)
 
     analytic_dist = exact_distribution(eigenphase_table(angles), p)
     circuit_dist = circuit_distribution(evolution, uniform_state(inst), p)
-    check_max("analytic_circuit_tv", total_variation(analytic_dist, circuit_dist), cross_mode_tol)
+    check_max("analytic_circuit_tv", total_variation(analytic_dist, circuit_dist), _CROSS_MODE_TOL)
 
-    for j in (0, 1):
-        report = bound_satisfaction_mass(inst, j, p)
-        check_min(f"part{j}_bound_mass", report.satisfied_mass, report.threshold)
-    joint = joint_success_mass(inst, p)
-    check_min("total_bound_mass", joint.satisfied_mass, joint.threshold)
+    joint = full_count(p, inst, "exact")
+    reports = (_part_report(joint.part0), _part_report(joint.part1), _total_report(joint))
+    for name, report in zip(("part0", "part1", "total"), reports):
+        checks.append(CheckResult(f"{name}_bound_mass", report.satisfied_mass, report.threshold,
+                                  "min", report.passed()))
 
     return VerificationReport(tuple(checks))

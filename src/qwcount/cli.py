@@ -140,26 +140,17 @@ def _instance_from_args(args) -> BipartiteInstance:
         raise UsageError(str(exc))
 
 
-def _format_scalar(value) -> str:
+def _format_scalar(value, as_json: bool = False) -> str:
+    """One CSV cell, or one JSON value when ``as_json``: None and strings differ."""
     if value is None:
-        return ""
+        return "null" if as_json else ""
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (float, np.floating)):
         return format(float(value), ".17g")
+    if as_json and not isinstance(value, (int, np.integer)):
+        return json.dumps(str(value))
     return str(value)
-
-
-def _json_scalar(value) -> str:
-    if value is None:
-        return "null"
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return json.dumps(str(value))
 
 
 def _render_csv(rows, fieldnames) -> str:
@@ -175,7 +166,7 @@ def _render_json(rows, fieldnames) -> str:
     keys = [(json.dumps(name), name) for name in fieldnames]
     items = []
     for row in rows:
-        body = ", ".join(f"{key}: {_json_scalar(row[name])}" for key, name in keys)
+        body = ", ".join(f"{key}: {_format_scalar(row[name], as_json=True)}" for key, name in keys)
         items.append("  {" + body + "}")
     if not items:
         return "[]\n"

@@ -27,7 +27,7 @@ import numpy as np
 
 from .phase_estimation import TWO_PI, EigenphaseMixture, exact_distribution
 from .reduced import angles_from_instance, eigenphase_table
-from .walk import BipartiteInstance
+from .walk import BipartiteInstance, _check_part
 
 __all__ = [
     "fold_phase",
@@ -274,8 +274,7 @@ class FullCountDistribution:
 
 def single_part_instance(inst: BipartiteInstance, part: int) -> BipartiteInstance:
     """The instance seen through the part-restricted oracle: other part unmarked."""
-    if part not in (0, 1):
-        raise ValueError(f"part must be 0 or 1, got {part}")
+    _check_part(part)
     if part == 0:
         return replace(inst, marked1=frozenset())
     return replace(inst, marked0=frozenset())

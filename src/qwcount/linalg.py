@@ -16,8 +16,6 @@ __all__ = [
     "as_matrix",
     "as_vector",
     "mat_mul",
-    "mat_vec",
-    "dagger",
     "unitarity_defect",
     "eigen_residual",
 ]
@@ -55,19 +53,6 @@ def mat_mul(a, b) -> np.ndarray:
     if am.shape[1] != bm.shape[0]:
         raise ValueError(f"dimension mismatch: {am.shape} @ {bm.shape}")
     return am @ bm
-
-
-def mat_vec(a, v) -> np.ndarray:
-    """Matrix-vector product ``a @ v`` with explicit dimension checking."""
-    am, vv = as_matrix(a), as_vector(v)
-    if am.shape[1] != vv.shape[0]:
-        raise ValueError(f"dimension mismatch: {am.shape} @ ({vv.shape[0]},)")
-    return am @ vv
-
-
-def dagger(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(a).conj().T
 
 
 def unitarity_defect(a) -> float:

@@ -117,39 +117,35 @@ class PhaseDistribution:
         return TWO_PI * np.arange(self.n_points) / self.n_points
 
 
-def fourier_kernel(theta: float, omega: float, grid_size: int) -> float:
+def fourier_kernel(theta, omega, grid_size: int):
     """Probability that estimation of eigenphase ``theta`` lands on grid phase ``omega``.
 
-    Periodic in ``theta - omega`` with period 2π; returns exactly 1 at the
-    removable singularity ``theta ≡ omega`` and sums to 1 over any full grid.
+    Works elementwise on scalars or arrays.  Periodic in ``theta - omega``
+    with period 2π; returns exactly 1 at the removable singularity
+    ``theta ≡ omega`` and sums to 1 over any full grid.
     """
     if grid_size < 1:
         raise ValueError(f"grid size must be positive, got {grid_size}")
-    delta = (theta - omega) % TWO_PI
-    if min(delta, TWO_PI - delta) < _SINGULARITY_TOL:
-        return 1.0
-    value = math.sin(grid_size * delta / 2.0) ** 2 / (grid_size**2 * math.sin(delta / 2.0) ** 2)
-    return min(value, 1.0)
-
-
-def _kernel_on_grid(theta: float, p: int) -> np.ndarray:
-    """Vectorized :func:`fourier_kernel` against the whole p-qubit grid."""
-    n = 2**p
-    delta = (theta - TWO_PI * np.arange(n) / n) % TWO_PI
+    delta = np.subtract(theta, omega) % TWO_PI
     singular = np.minimum(delta, TWO_PI - delta) < _SINGULARITY_TOL
     safe = np.where(singular, 1.0, delta)
-    values = np.sin(n * safe / 2.0) ** 2 / (n**2 * np.sin(safe / 2.0) ** 2)
-    return np.where(singular, 1.0, np.minimum(values, 1.0))
+    # np.square, not ** 2: numpy squares arrays as x*x but sends a scalar
+    # through pow(), which can differ in the last bit.
+    numerator = np.square(np.sin(grid_size * safe / 2.0))
+    values = numerator / (grid_size**2 * np.square(np.sin(safe / 2.0)))
+    return np.where(singular, 1.0, np.minimum(values, 1.0))[()]
 
 
 def exact_distribution(mixture: EigenphaseMixture, p: int) -> PhaseDistribution:
     """Outcome distribution for an eigenphase mixture, via the analytic kernel."""
     if p < 1:
         raise ValueError(f"register size must be at least 1 qubit, got {p}")
-    mass = np.zeros(2**p)
+    n = 2**p
+    omegas = TWO_PI * np.arange(n) / n
+    mass = np.zeros(n)
     for phase, weight in zip(mixture.phases, mixture.weights):
         if weight > 0.0:
-            mass += weight * _kernel_on_grid(phase, p)
+            mass += weight * fourier_kernel(phase, omegas, n)
     return PhaseDistribution(p, mass)
 
 
@@ -231,4 +227,5 @@ def good_estimate_mass(theta: float, p: int) -> float:
     when ``theta`` lies on the grid.
     """
     n = 2**p
-    return sum(fourier_kernel(theta, TWO_PI * m / n, n) for m in grid_neighbor_indices(theta, p))
+    neighbors = np.array(grid_neighbor_indices(theta, p))
+    return float(fourier_kernel(theta, TWO_PI * neighbors / n, n).sum())

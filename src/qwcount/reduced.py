@@ -28,7 +28,7 @@ import numpy as np
 
 from .linalg import as_matrix
 from .phase_estimation import TWO_PI, EigenphaseMixture
-from .walk import BipartiteInstance, arc_to_flat, ArcIndex
+from .walk import BipartiteInstance
 
 __all__ = [
     "BASIS_LABELS",
@@ -106,29 +106,30 @@ class InvariantBasis:
 
 
 def invariant_basis(inst: BipartiteInstance) -> InvariantBasis:
-    """Uniform superpositions over the eight (tail class, head class) arc sets."""
-    classes = {
-        "K0": sorted(inst.marked0),
-        "K0c": sorted(set(range(inst.n0)) - inst.marked0),
-        "K1": sorted(inst.marked1),
-        "K1c": sorted(set(range(inst.n1)) - inst.marked1),
-    }
+    """Uniform superpositions over the eight (tail class, head class) arc sets.
+
+    A direction-0 arc ``(u, v)`` sits at ``u*n1 + v`` in the first half, so
+    its class vector is ``kron(tail mask on V0, head mask on V1)`` there; a
+    direction-1 arc has its tail in V1 and sits at the same offset in the
+    second half, so the factors swap.
+    """
+    marked0 = np.isin(np.arange(inst.n0), list(inst.marked0))
+    marked1 = np.isin(np.arange(inst.n1), list(inst.marked1))
+    masks = {"K0": marked0, "K0c": ~marked0, "K1": marked1, "K1c": ~marked1}
+    half = inst.num_edges
     vectors = []
     for tail, head in _LABEL_PAIRS:
-        tails, heads = classes[tail], classes[head]
-        if not tails or not heads:
+        tails, heads = masks[tail], masks[head]
+        size = int(tails.sum()) * int(heads.sum())
+        if size == 0:
             vectors.append(None)
             continue
         vec = np.zeros(inst.dim, dtype=np.complex128)
-        amplitude = 1.0 / math.sqrt(len(tails) * len(heads))
         if tail.startswith("K0"):
-            for u in tails:
-                for v in heads:
-                    vec[arc_to_flat(inst, ArcIndex(0, u, v))] = amplitude
+            vec[:half] = np.kron(tails, heads)
         else:
-            for v in tails:
-                for u in heads:
-                    vec[arc_to_flat(inst, ArcIndex(1, u, v))] = amplitude
+            vec[half:] = np.kron(heads, tails)
+        vec *= 1.0 / math.sqrt(size)
         vec.setflags(write=False)
         vectors.append(vec)
     return InvariantBasis(BASIS_LABELS, tuple(vectors))

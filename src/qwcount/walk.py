@@ -122,11 +122,6 @@ def flat_to_arc(inst: BipartiteInstance, flat: int) -> ArcIndex:
     return ArcIndex(direction, u, v)
 
 
-def _tail_is_marked(inst: BipartiteInstance, direction: int, u: int, v: int) -> bool:
-    # The tail of a direction-0 arc is u (in V0); of a direction-1 arc it is v (in V1).
-    return (u in inst.marked0) if direction == 0 else (v in inst.marked1)
-
-
 def build_shift(inst: BipartiteInstance) -> np.ndarray:
     """Flip-flop shift: swaps each arc with its reverse.  Involution."""
     x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
@@ -196,17 +191,13 @@ def build_ancilla_oracle(inst: BipartiteInstance, part: int) -> np.ndarray:
     dim = inst.dim
     half = inst.num_edges
     flip = np.eye(2 * dim, dtype=np.complex128)
-    for a in range(dim):
-        direction, rest = divmod(a, half)
-        u, v = divmod(rest, inst.n1)
-        if _tail_is_marked(inst, direction, u, v):
-            base = 2 * a
-            flip[base:base + 2, base:base + 2] = np.array([[0.0, 1.0], [1.0, 0.0]])
+    marked = 2 * np.flatnonzero(_oracle_signs(inst, (0, 1)) < 0)
+    flip[marked, marked] = flip[marked + 1, marked + 1] = 0.0
+    flip[marked, marked + 1] = flip[marked + 1, marked] = 1.0
     cz = np.ones(2 * dim)
     lo, hi = part * half, (part + 1) * half
     cz[2 * lo + 1:2 * hi:2] = -1.0
-    czm = np.diag(cz).astype(np.complex128)
-    return czm @ flip @ czm
+    return cz[:, None] * flip * cz
 
 
 def restrict_to_plus_ancilla(m) -> np.ndarray:

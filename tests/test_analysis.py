@@ -3,9 +3,11 @@ import math
 
 import pytest
 
+import qwcount
 from qwcount import (
     BipartiteInstance,
     FULL_COUNT_SUCCESS_PROBABILITY,
+    FullCountDistribution,
     GOOD_ESTIMATE_PROBABILITY,
     SweepConfig,
     bound_satisfaction_mass,
@@ -137,11 +139,70 @@ def test_run_sweep_is_deterministic_and_ordered():
 
 
 def test_run_sweep_skips_infeasible_points(caplog):
-    cfg = SweepConfig((2,), (2,), (0, 3), (0,), (4,))
-    with caplog.at_level(logging.INFO, logger="qwcount.analysis"):
+    # Five of the six (k0, k1) pairs exceed a part size: one INFO summary,
+    # one DEBUG notice per skipped point.
+    cfg = SweepConfig((2,), (2,), (0, 3, 4), (0, 3), (4,))
+    with caplog.at_level(logging.DEBUG, logger="qwcount.analysis"):
         records = run_sweep(cfg)
     assert [(r.k0, r.k1) for r in records] == [(0, 0)]
-    assert any("infeasible" in message for message in caplog.messages)
+    info = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
+    assert len(info) == 1
+    assert "infeasible" in info[0] and "5" in info[0]
+    assert sum(r.levelno == logging.DEBUG for r in caplog.records) == 5
+
+
+@pytest.fixture
+def part_pushforwards(monkeypatch):
+    """Count single-part pushforwards, whether analysis or full_count asks for them."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[:3])
+        return partial_count(*args, **kwargs)
+
+    monkeypatch.setattr(qwcount.counting, "partial_count", counted)
+    monkeypatch.setattr(qwcount.analysis, "partial_count", counted)
+    return calls
+
+
+def test_verify_suite_pushes_each_part_forward_once(part_pushforwards):
+    report = verify_suite(FIG2, 5)
+    assert part_pushforwards == [(5, FIG2, 0), (5, FIG2, 1)]
+    by_name = {c.name: c for c in report.checks}
+    expected = {"part0_bound_mass": bound_satisfaction_mass(FIG2, 0, 5),
+                "part1_bound_mass": bound_satisfaction_mass(FIG2, 1, 5),
+                "total_bound_mass": joint_success_mass(FIG2, 5)}
+    for name, direct in expected.items():
+        assert by_name[name].value == direct.satisfied_mass
+        assert by_name[name].limit == direct.threshold
+        assert by_name[name].passed == direct.passed()
+
+
+def test_run_sweep_pushes_each_part_forward_once(part_pushforwards):
+    run_sweep(SweepConfig((4,), (3,), (2,), (1,), (5,)))
+    assert len(part_pushforwards) == 2
+
+
+def test_run_sweep_check_subsets_match_full_run(monkeypatch):
+    grid = ((2, 4), (3,), (0, 1, 2), (1,), (4, 6))
+    full = run_sweep(SweepConfig(*grid))
+
+    def no_joint_mass(self, radius, center=None):
+        raise AssertionError("partial-only sweep computed a joint mass")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(FullCountDistribution, "mass_within", no_joint_mass)
+        partial = run_sweep(SweepConfig(*grid, checks=("partial",)))
+    total = run_sweep(SweepConfig(*grid, checks=("total",)))
+    for subset, enabled in ((partial, ("part0", "part1")), (total, ("total",))):
+        assert len(subset) == len(full)
+        for got, want in zip(subset, full):
+            for name, value in got.as_dict().items():
+                prefix = name.rsplit("_", 1)[0]
+                if prefix in ("part0", "part1", "total") and prefix not in enabled:
+                    assert value is None
+                else:
+                    assert value == want.as_dict()[name]
 
 
 def test_run_sweep_partial_only():

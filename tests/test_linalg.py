@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qwcount import dagger, eigen_residual, mat_mul, mat_vec, unitarity_defect
+from qwcount import eigen_residual, mat_mul, unitarity_defect
 
 from conftest import rotation
 
@@ -43,45 +43,6 @@ def test_mat_mul_associative(seed):
     left = mat_mul(mat_mul(a, b), c)
     right = mat_mul(a, mat_mul(b, c))
     assert np.abs(left - right).max() < 1e-12
-
-
-def test_mat_vec_identity():
-    v = np.array([1.0, 2.0j, -3.0])
-    assert np.array_equal(mat_vec(np.eye(3), v), v.astype(np.complex128))
-
-
-def test_mat_vec_zero_matrix():
-    assert np.array_equal(mat_vec(np.zeros((3, 3)), np.ones(3)), np.zeros(3, dtype=np.complex128))
-
-
-def test_mat_vec_quarter_turn():
-    assert np.abs(mat_vec(rotation(math.pi / 2), [1.0, 0.0]) - np.array([0.0, 1.0])).max() < 1e-15
-
-
-def test_mat_vec_dimension_mismatch():
-    with pytest.raises(ValueError):
-        mat_vec(np.eye(2), np.ones(3))
-
-
-def test_dagger_identity():
-    assert np.array_equal(dagger(np.eye(4)), np.eye(4, dtype=np.complex128))
-
-
-def test_dagger_is_involution():
-    rng = np.random.default_rng(3)
-    a = rng.uniform(-1, 1, (4, 4)) + 1j * rng.uniform(-1, 1, (4, 4))
-    assert np.array_equal(dagger(dagger(a)), a)
-
-
-def test_dagger_of_rotation_reverses_angle():
-    assert np.abs(dagger(rotation(0.7)) - rotation(-0.7)).max() < 1e-15
-
-
-def test_dagger_antihomomorphism():
-    rng = np.random.default_rng(4)
-    a = rng.uniform(-1, 1, (3, 3)) + 1j * rng.uniform(-1, 1, (3, 3))
-    b = rng.uniform(-1, 1, (3, 3)) + 1j * rng.uniform(-1, 1, (3, 3))
-    assert np.abs(dagger(mat_mul(a, b)) - mat_mul(dagger(b), dagger(a))).max() < 1e-12
 
 
 def test_unitarity_defect_identity():

@@ -65,6 +65,29 @@ def test_kernel_periodic_and_bounded():
 def test_kernel_rejects_bad_grid():
     with pytest.raises(ValueError):
         fourier_kernel(0.0, 0.0, 0)
+    with pytest.raises(ValueError):
+        fourier_kernel(np.zeros(4), TWO_PI * np.arange(4) / 4, 0)
+    with pytest.raises(ValueError):
+        fourier_kernel(0.5, np.zeros(3), -2)
+
+
+@pytest.mark.parametrize("p", range(1, 15))
+def test_kernel_on_grid_matches_scalar_calls(p):
+    # The whole-grid evaluation that exact_distribution uses must equal the
+    # per-point scalar evaluation bit for bit, also at the removable
+    # singularity (on-grid phases) and for phases shifted by 2π.
+    rng = np.random.default_rng(100 + p)
+    n = 2**p
+    omegas = TWO_PI * np.arange(n) / n
+    on_grid = TWO_PI * rng.integers(0, n) / n
+    thetas = [rng.uniform(0, TWO_PI), on_grid]
+    thetas += [theta + TWO_PI for theta in thetas]
+    for theta in thetas:
+        grid = fourier_kernel(theta, omegas, n)
+        scalar = np.array([fourier_kernel(theta, omega, n) for omega in omegas])
+        assert grid.shape == (n,)
+        assert np.array_equal(grid, scalar)
+    assert fourier_kernel(on_grid, omegas, n).max() == 1.0
 
 
 @pytest.mark.parametrize("p", range(1, 11))

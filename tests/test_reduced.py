@@ -5,9 +5,11 @@ import pytest
 
 from qwcount import (
     BASIS_LABELS,
+    ArcIndex,
     BipartiteInstance,
     WalkAngles,
     angles_from_instance,
+    arc_to_flat,
     build_evolution,
     build_oracle,
     build_reduced_evolution,
@@ -82,6 +84,40 @@ def test_invariant_basis_absent_labels():
     absent = [label for label, vec in zip(basis.labels, basis.vectors) if vec is None]
     assert sorted(absent) == sorted([l for l in BASIS_LABELS if "K1," in l or l.endswith(",K1")])
     assert len(basis.present_indices()) == 4
+
+
+def literal_invariant_basis(inst):
+    """Reference: place each class amplitude arc by arc through the flat layout."""
+    classes = {
+        "K0": sorted(inst.marked0),
+        "K0c": sorted(set(range(inst.n0)) - inst.marked0),
+        "K1": sorted(inst.marked1),
+        "K1c": sorted(set(range(inst.n1)) - inst.marked1),
+    }
+    vectors = []
+    for label in BASIS_LABELS:
+        tail, head = label.split(",")
+        tails, heads = classes[tail], classes[head]
+        if not tails or not heads:
+            vectors.append(None)
+            continue
+        vec = np.zeros(inst.dim, dtype=np.complex128)
+        amplitude = 1.0 / math.sqrt(len(tails) * len(heads))
+        for t in tails:
+            for h in heads:
+                arc = ArcIndex(0, t, h) if tail.startswith("K0") else ArcIndex(1, h, t)
+                vec[arc_to_flat(inst, arc)] = amplitude
+        vectors.append(vec)
+    return vectors
+
+
+def test_invariant_basis_matches_literal_loop():
+    for inst in list(iter_count_instances(8)) + random_instances(40, 8, seed=21):
+        basis = invariant_basis(inst)
+        assert basis.labels == BASIS_LABELS
+        for got, want in zip(basis.vectors, literal_invariant_basis(inst), strict=True):
+            assert (got is None) == (want is None)
+            assert got is None or np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("inst", list(iter_count_instances(4)) + random_instances(6, 6, seed=5))
