@@ -354,11 +354,11 @@ def verify_suite(inst: BipartiteInstance, p: int, *,
     projected, leakage = reduce_operator(evolution, basis)
     check_max("invariant_leakage", leakage, _STRUCTURAL_TOL)
     present = basis.present_indices()
-    analytic = build_reduced_evolution(angles)[np.ix_(present, present)]
+    reduced_matrix = build_reduced_evolution(angles)
+    analytic = reduced_matrix[np.ix_(present, present)]
     check_max("reduced_reconciliation", np.abs(projected - analytic).max(), _STRUCTURAL_TOL)
 
     decomposition = spectral_decomposition(angles)
-    reduced_matrix = build_reduced_evolution(angles)
     residual = max(eigen_residual(reduced_matrix, r.eigenvalue, r.eigenvector)
                    for r in decomposition.records)
     check_max("eigen_residual_max", residual, _RESIDUAL_TOL)

@@ -13,7 +13,12 @@ Two independent engines compute the same distribution over the phase grid
   uniform first register, controlled powers ``u^{2^e}`` obtained by repeated
   matrix squaring, inverse Fourier transform, first-register marginal.  It
   never consults eigenvalues, so agreement between the two engines is a real
-  cross-check.
+  cross-check.  The controlled powers are applied by prefix doubling: bits
+  act in increasing order, so before bit ``e`` only the first ``2^e``
+  register values hold distinct states, and bit ``e`` fills values
+  ``2^e..2^{e+1}-1`` with ``u^{2^e}`` times that prefix.  That is the state
+  a per-bit gather and scatter builds, for ``(P-1)·d²`` row work and
+  ``p-1`` squarings instead of ``p·(P/2)·d²`` and ``p``.
 
 Sampling is a pure function of (distribution, seed, n) backed by NumPy's
 PCG64 generator; there is no hidden global RNG state.
@@ -33,6 +38,7 @@ __all__ = [
     "TWO_PI",
     "GOOD_ESTIMATE_PROBABILITY",
     "MAX_CIRCUIT_QUBITS",
+    "MAX_ANALYTIC_QUBITS",
     "EigenphaseMixture",
     "PhaseDistribution",
     "fourier_kernel",
@@ -52,6 +58,10 @@ GOOD_ESTIMATE_PROBABILITY = 8.0 / math.pi**2
 
 # Joint-state size guard for the literal circuit simulation.
 MAX_CIRCUIT_QUBITS = 12
+
+# Register size guard for the analytic engine: it allocates 2^p masses, and
+# the kernel's relative error grows like P·eps (about 1e-9 near p = 24).
+MAX_ANALYTIC_QUBITS = 20
 
 # |Δ mod 2π| below this is treated as the removable singularity of the kernel.
 _SINGULARITY_TOL = 1e-13
@@ -137,9 +147,17 @@ def fourier_kernel(theta, omega, grid_size: int):
 
 
 def exact_distribution(mixture: EigenphaseMixture, p: int) -> PhaseDistribution:
-    """Outcome distribution for an eigenphase mixture, via the analytic kernel."""
+    """Outcome distribution for an eigenphase mixture, via the analytic kernel.
+
+    Raises
+    ------
+    ResourceLimitError
+        If ``p`` exceeds :data:`MAX_ANALYTIC_QUBITS`.
+    """
     if p < 1:
         raise ValueError(f"register size must be at least 1 qubit, got {p}")
+    if p > MAX_ANALYTIC_QUBITS:
+        raise ResourceLimitError(f"analytic engine limited to p <= {MAX_ANALYTIC_QUBITS}, got {p}")
     n = 2**p
     omegas = TWO_PI * np.arange(n) / n
     mass = np.zeros(n)
@@ -152,9 +170,18 @@ def exact_distribution(mixture: EigenphaseMixture, p: int) -> PhaseDistribution:
 def circuit_distribution(u, psi, p: int, *, tol: float = 1e-8) -> PhaseDistribution:
     """Outcome distribution by direct simulation of the estimation circuit.
 
-    Builds the joint (register ⊗ system) state, applies the controlled powers
-    ``u^{2^e}`` by repeated squaring of the matrix, applies the inverse
-    Fourier transform on the register, and returns the register marginal.
+    Holds the joint state as a ``(d, P)`` array, one column per register
+    value, so the register Fourier transform runs along the contiguous axis.
+    After the Hadamards every column is ``ψ/sqrt(P)``, and control bit ``e``
+    applies ``u^{2^e}`` (the previous power squared) to each column whose
+    bit ``e`` is set.  Bits act in increasing order, so once bits ``0..e-1``
+    have acted, column ``m`` equals column ``m mod 2^e``: only the first
+    ``2^e`` columns are distinct.  Bit ``e`` then doubles that prefix,
+    ``state[:, 2^e:2^{e+1}] = u^{2^e} @ state[:, :2^e]``, and each column
+    gets the same powers in the same order as a per-bit gather and scatter
+    over all ``P`` columns would give it.  The cost is ``(P-1)·d²`` row work
+    and ``p-1`` squarings.  The inverse Fourier transform on the register
+    follows, and the marginal is ``|·|²`` summed over the system axis.
 
     Raises
     ------
@@ -179,18 +206,17 @@ def circuit_distribution(u, psi, p: int, *, tol: float = 1e-8) -> PhaseDistribut
         raise ValueError(f"state norm {norm} is not 1 within {tol:.1e}")
 
     n = 2**p
-    # Hadamards on the register: uniform superposition of all register values.
-    state = np.tile(vec / math.sqrt(n), (n, 1))
-    # Register value m applies u^m to the system.  Bit e of m corresponds to
-    # the control qubit whose gate is u^(2^e); successive squarings walk e up.
+    state = np.empty((vec.shape[0], n), dtype=np.complex128)
+    state[:, 0] = vec / math.sqrt(n)
     power = um
     for e in range(p):
-        rows = (np.arange(n) >> e) & 1 == 1
-        state[rows] = state[rows] @ power.T
-        power = power @ power
+        half = 2**e
+        if e:
+            power = power @ power
+        state[:, half:2 * half] = power @ state[:, :half]
     # Inverse Fourier transform on the register index.
-    state = np.fft.fft(state, axis=0) / math.sqrt(n)
-    return PhaseDistribution(p, (np.abs(state) ** 2).sum(axis=1))
+    state = np.fft.fft(state, axis=1) / math.sqrt(n)
+    return PhaseDistribution(p, (np.abs(state) ** 2).sum(axis=0))
 
 
 def sample(dist: PhaseDistribution, seed: int, n: int) -> np.ndarray:

@@ -24,7 +24,7 @@ GOLDEN = {
         "b8ab23f44845786b4cfd6ef5f76e34cd77a62b229465e803c43cabc1ad084b29"),
     "distribution_circuit": (
         ["distribution", *FIG2, "--p", "5", "--engine", "circuit"],
-        "bd5121a26665fce4fad27cfab6860061217483339d91952271d75d470b7e9916"),
+        "a8b846206abd185669a243d9e132e0c6bd34105a16b02057e8a5127288aa36d2"),
     "count_exact_part0": (
         ["count", *FIG2, "--p", "6", "--part", "0", "--mode", "exact"],
         "ad81b306d6b3074b093b5ddff79c6ac685ab23a51214e1b4e87a5548c8c9a144"),
@@ -50,7 +50,7 @@ GOLDEN = {
         "62db41b7cd1396ca69bb6e08b75c5dc4c88b8efc2d5f97f6f32e44eae7e7a7b2"),
     "verify": (
         ["verify", *FIG2, "--p", "5"],
-        "1ee0b02a16b2b7ee8054cd65aa91a40d3ec4658c3789ccf9e4f97fac6764ec2e"),
+        "3ed0384ed4e87c3042e27fc21a0781baa24f1121d849a279a6919182f0e34019"),
 }
 
 # The default k0 range 0..3 makes n0 = 2, k0 = 3 infeasible: skipped points

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,9 +23,11 @@ from qwcount import (
     total_variation,
     uniform_state,
 )
+from qwcount.cli import main
 from qwcount.errors import ResourceLimitError
+from qwcount.phase_estimation import MAX_ANALYTIC_QUBITS, MAX_CIRCUIT_QUBITS
 
-from conftest import random_instances
+from conftest import iter_count_instances, random_instances
 
 TWO_PI = 2 * math.pi
 
@@ -171,6 +174,54 @@ def test_engines_agree_on_full_space(inst):
     assert total_variation(analytic, circuit) < 1e-8
 
 
+def per_bit_circuit_masses(u, psi, p):
+    """Reference: one gather, multiply and scatter per control bit on a (P, d) state."""
+    n = 2**p
+    state = np.tile(np.asarray(psi, dtype=np.complex128) / math.sqrt(n), (n, 1))
+    power = np.asarray(u, dtype=np.complex128)
+    for e in range(p):
+        rows = (np.arange(n) >> e) & 1 == 1
+        state[rows] = state[rows] @ power.T
+        power = power @ power
+    state = np.fft.fft(state, axis=0) / math.sqrt(n)
+    return (np.abs(state) ** 2).sum(axis=1)
+
+
+def random_unitary_and_state(rng, d):
+    gaussian = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    q, r = np.linalg.qr(gaussian)
+    u = q * (np.diag(r) / np.abs(np.diag(r)))
+    psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+    return u, psi / np.linalg.norm(psi)
+
+
+def assert_matches_per_bit(u, psi, p):
+    masses = circuit_distribution(u, psi, p).mass
+    reference = per_bit_circuit_masses(u, psi, p)
+    assert masses.shape == reference.shape
+    assert np.abs(masses - reference).max() <= 2e-15
+
+
+@pytest.mark.parametrize("p", range(1, 9))
+def test_circuit_matches_per_bit_reference_on_walks(p):
+    for inst in iter_count_instances(4):
+        assert_matches_per_bit(build_evolution(inst, build_oracle(inst)), uniform_state(inst), p)
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 17, 64])
+def test_circuit_matches_per_bit_reference_on_random_unitaries(d):
+    rng = np.random.default_rng(500 + d)
+    for p in range(1, 11):
+        assert_matches_per_bit(*random_unitary_and_state(rng, d), p)
+
+
+def test_circuit_matches_per_bit_reference_at_largest_register():
+    inst = BipartiteInstance.from_counts(8, 8, 3, 5)
+    assert inst.dim == 128
+    assert_matches_per_bit(build_evolution(inst, build_oracle(inst)), uniform_state(inst),
+                           MAX_CIRCUIT_QUBITS)
+
+
 def test_circuit_rejects_nonunitary():
     with pytest.raises(ValueError):
         circuit_distribution(np.diag([1.0, 2.0]), np.array([1.0, 0.0]), 3)
@@ -184,6 +235,42 @@ def test_circuit_rejects_unnormalized_state():
 def test_circuit_rejects_oversize_register():
     with pytest.raises(ResourceLimitError):
         circuit_distribution(np.eye(2), np.array([1.0, 0.0]), 13)
+
+
+@pytest.mark.parametrize("p", [MAX_ANALYTIC_QUBITS + 1, 64])
+def test_analytic_rejects_oversize_register_before_allocating(p):
+    mixture = eigenphase_table(angles_from_instance(FIG2))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match=f"p <= {MAX_ANALYTIC_QUBITS}"):
+            exact_distribution(mixture, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("p", [MAX_ANALYTIC_QUBITS + 1, 64])
+def test_cli_analytic_oversize_register_exits_1(capsys, p):
+    argv = ["distribution", "--n0", "4", "--n1", "3", "--k0", "2", "--k1", "1",
+            "--p", str(p), "--engine", "analytic"]
+    tracemalloc.start()
+    try:
+        status = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert status == 1
+    assert captured.out == ""
+    assert f"analytic engine limited to p <= {MAX_ANALYTIC_QUBITS}, got {p}" in captured.err
+    assert peak < 2**20
+
+
+def test_analytic_accepts_largest_register():
+    dist = exact_distribution(EigenphaseMixture(np.array([0.3]), np.array([1.0])),
+                              MAX_ANALYTIC_QUBITS)
+    assert dist.n_points == 2**MAX_ANALYTIC_QUBITS
 
 
 def test_sample_point_mass():
