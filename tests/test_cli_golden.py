@@ -38,6 +38,12 @@ GOLDEN = {
         ["count", "--n0", "5", "--n1", "7", "--k0", "2", "--k1", "3", "--p", "4",
          "--part", "both", "--format", "json"],
         "ddf684f402ed8f6ff4e11535f75e23e1ebea26e4c68893b1544b64c5d5a01528"),
+    "count_exact_both_json_p7": (
+        ["count", *FIG2, "--p", "7", "--part", "both", "--format", "json"],
+        "1822807207e0d2048b51ca987a4297231830439457382311e3fb97337b34c5cc"),
+    "distribution_analytic_p12_part64": (
+        ["distribution", "--n0", "64", "--n1", "64", "--k0", "13", "--k1", "29", "--p", "12"],
+        "d31c0fc5d4e1c97c2ac57e7ac9c3ecf91a85464855d1cb476f806008528efb1f"),
     "count_sampled_part0": (
         ["count", *FIG2, "--p", "6", "--part", "0", *SAMPLED],
         "e4c7874ee736967570d251bd84e39e6e876aa95173e5e01d97f453a0f47ce3ed"),
