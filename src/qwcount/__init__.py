@@ -4,16 +4,13 @@ complete bipartite graphs."""
 from .errors import ResourceLimitError
 from .linalg import eigen_residual, mat_mul, unitarity_defect
 from .walk import (
-    ArcIndex,
     BipartiteInstance,
-    arc_to_flat,
     build_ancilla_oracle,
     build_coin,
     build_evolution,
     build_oracle,
     build_part_oracle,
     build_shift,
-    flat_to_arc,
     restrict_to_plus_ancilla,
     uniform_state,
 )

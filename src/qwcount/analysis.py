@@ -223,9 +223,6 @@ class SweepRecord:
         "total_bound", "total_mass", "total_pass",
     )
 
-    def as_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self.FIELD_ORDER}
-
     def all_passed(self) -> bool:
         flags = (self.part0_pass, self.part1_pass, self.total_pass)
         return all(f for f in flags if f is not None)

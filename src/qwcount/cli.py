@@ -6,6 +6,13 @@ Commands: ``spectrum`` (angles and eigenphase weights), ``distribution``
 (grid of exact bound checks from a config file), ``verify`` (full check
 suite on one instance).
 
+Each command returns its table as blocks of columns: a numpy array, a list,
+or one scalar repeated on every row.  :func:`emit` is the one writer for
+every command: it formats each column once and writes each block before
+it takes the next.  The exact ``count --part both`` table, ``4^p`` rows, is
+generated in blocks of at most ``_BLOCK_ROWS`` rows and never held whole;
+it is limited to :data:`MAX_JOINT_ROWS` rows (``p <= 10``).
+
 Exit codes: 0 success, 1 invalid input or I/O failure, 2 verification or
 threshold failure.  Floating values are printed with 17 significant digits
 and identical inputs produce identical output bytes.  Sampled runs without
@@ -36,7 +43,7 @@ from .phase_estimation import exact_distribution, circuit_distribution
 from .reduced import EIGENPHASE_LABELS, angles_from_instance, eigenphase_table
 from .walk import BipartiteInstance, build_oracle, build_evolution, uniform_state
 
-__all__ = ["main", "entrypoint", "build_parser", "emit"]
+__all__ = ["main", "entrypoint", "build_parser", "emit", "MAX_JOINT_ROWS"]
 
 DISTRIBUTION_FIELDS = ("p", "omega_index", "omega_radians", "mass")
 SPECTRUM_FIELDS = ("label", "phase_radians", "probability", "theta0", "theta1", "mu", "sigma")
@@ -49,6 +56,11 @@ SAMPLED_PART_FIELDS = ("trial", "p", "part", "k_est", "k_rounded", "theta_est",
 SAMPLED_TOTAL_FIELDS = ("trial", "p", "k_est_0", "k_est_1", "k_est", "k_rounded",
                         "bound", "oracle_queries", "seed")
 VERIFY_FIELDS = ("check", "value", "limit", "kind", "passed")
+
+# Rows of the exact ``count --part both`` table: p <= 10.
+MAX_JOINT_ROWS = 4**10
+# Rows formatted and written at a time when that table is streamed.
+_BLOCK_ROWS = 4096
 
 
 class UsageError(Exception):
@@ -148,39 +160,84 @@ def _format_scalar(value, as_json: bool = False) -> str:
         return "true" if value else "false"
     if isinstance(value, (float, np.floating)):
         return format(float(value), ".17g")
-    if as_json and not isinstance(value, (int, np.integer)):
-        return json.dumps(str(value))
-    return str(value)
+    if isinstance(value, (int, np.integer)):
+        return str(value)
+    return json.dumps(str(value)) if as_json else _csv_field(str(value))
 
 
-def _render_csv(rows, fieldnames) -> str:
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes one field of a row (QUOTE_MINIMAL)."""
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(fieldnames)
-    for row in rows:
-        writer.writerow([_format_scalar(row[name]) for name in fieldnames])
-    return buffer.getvalue()
+    csv.writer(buffer, lineterminator="\n").writerow((text, ""))
+    return buffer.getvalue()[:-2]
 
 
-def _render_json(rows, fieldnames) -> str:
-    keys = [(json.dumps(name), name) for name in fieldnames]
-    items = []
-    for row in rows:
-        body = ", ".join(f"{key}: {_format_scalar(row[name], as_json=True)}" for key, name in keys)
-        items.append("  {" + body + "}")
-    if not items:
-        return "[]\n"
-    return "[\n" + ",\n".join(items) + "\n]\n"
+class _Cells(list):
+    """A column already formatted: one cell string per row, the same in CSV and JSON."""
 
 
-def emit(rows, fieldnames, output_format: str, destination: str | None) -> None:
-    """Write rows as CSV (fixed header) or JSON (array of objects) deterministically."""
-    text = _render_csv(rows, fieldnames) if output_format == "csv" else _render_json(rows, fieldnames)
+def _slot(column, as_json: bool = False):
+    """One column as ``(template slot, values)``; a scalar is formatted into its slot.
+
+    Float arrays take ``'%.17g'`` and integer arrays ``'%d'``, over
+    ``.tolist()``: the bytes ``_format_scalar`` gives one value at a time.
+    Other lists go through ``_format_scalar`` cell by cell.
+    """
+    if isinstance(column, _Cells):
+        return "%s", column
+    if isinstance(column, np.ndarray):
+        if column.dtype.kind == "f":
+            return "%.17g", column.tolist()
+        if column.dtype.kind in "iu":
+            return "%d", column.tolist()
+        column = column.tolist()
+    if isinstance(column, (list, tuple)):
+        return "%s", [_format_scalar(value, as_json) for value in column]
+    return _format_scalar(column, as_json).replace("%", "%%"), None
+
+
+def _formatted(column) -> _Cells:
+    """A numeric column formatted once, for blocks that repeat it."""
+    slot, values = _slot(column)
+    return _Cells(map(slot.__mod__, values))
+
+
+def _write_table(handle, blocks, fieldnames, as_json: bool) -> None:
+    if as_json:
+        keys = [json.dumps(name).replace("%", "%%") + ": " for name in fieldnames]
+    else:
+        handle.write(",".join(_csv_field(name) for name in fieldnames) + "\n")
+    separator = "[\n"
+    for block in blocks:
+        slots, columns = zip(*(_slot(block[name], as_json) for name in fieldnames))
+        columns = [values for values in columns if values is not None]
+        if as_json:
+            template = "  {" + ", ".join(map(str.__add__, keys, slots)) + "}"
+            rows = [template % row for row in zip(*columns, strict=True)]
+            if rows:
+                handle.write(separator + ",\n".join(rows))
+                separator = ",\n"
+        else:
+            template = ",".join(slots) + "\n"
+            handle.write("".join([template % row for row in zip(*columns, strict=True)]))
+    if as_json:
+        handle.write("[]\n" if separator == "[\n" else "\n]\n")
+
+
+def emit(blocks, fieldnames, output_format: str, destination: str | None) -> None:
+    """Write a table as CSV (fixed header) or JSON (array of objects), block by block.
+
+    Each block maps every field name to a column: a numpy array, a list, or
+    one scalar repeated on every row.  The array and list columns of a block
+    have one length, its row count.  Blocks may come from a generator, so a
+    large table is never held whole.
+    """
+    as_json = output_format == "json"
     if destination in (None, "-"):
-        sys.stdout.write(text)
+        _write_table(sys.stdout, blocks, fieldnames, as_json)
         return
     with open(destination, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)
+        _write_table(handle, blocks, fieldnames, as_json)
 
 
 def _generate_seed() -> int:
@@ -194,26 +251,17 @@ def _trial_seed(base: int, trial: int) -> int:
     return int(np.random.SeedSequence(entropy=base, spawn_key=(trial,)).generate_state(1)[0])
 
 
-def _cmd_spectrum(args) -> tuple[list[dict], tuple[str, ...], int]:
+def _cmd_spectrum(args):
     inst = _instance_from_args(args)
     angles = angles_from_instance(inst)
     mixture = eigenphase_table(angles)
-    rows = [
-        {
-            "label": label,
-            "phase_radians": float(phase),
-            "probability": float(weight),
-            "theta0": angles.theta0,
-            "theta1": angles.theta1,
-            "mu": angles.mu,
-            "sigma": angles.sigma,
-        }
-        for label, phase, weight in zip(EIGENPHASE_LABELS, mixture.phases, mixture.weights)
-    ]
-    return rows, SPECTRUM_FIELDS, 0
+    columns = {"label": list(EIGENPHASE_LABELS), "phase_radians": mixture.phases,
+               "probability": mixture.weights, "theta0": angles.theta0,
+               "theta1": angles.theta1, "mu": angles.mu, "sigma": angles.sigma}
+    return [columns], SPECTRUM_FIELDS, 0
 
 
-def _cmd_distribution(args) -> tuple[list[dict], tuple[str, ...], int]:
+def _cmd_distribution(args):
     inst = _instance_from_args(args)
     if args.engine == "analytic":
         dist = exact_distribution(eigenphase_table(angles_from_instance(inst)), args.p)
@@ -223,105 +271,104 @@ def _cmd_distribution(args) -> tuple[list[dict], tuple[str, ...], int]:
                 f"circuit engine limited to {MAX_FULL_SPACE_EDGES} edges, got {inst.num_edges}")
         evolution = build_evolution(inst, build_oracle(inst))
         dist = circuit_distribution(evolution, uniform_state(inst), args.p)
-    rows = [
-        {"p": dist.p, "omega_index": index, "omega_radians": float(omega), "mass": float(mass)}
-        for index, (omega, mass) in enumerate(zip(dist.omegas(), dist.mass))
-    ]
-    return rows, DISTRIBUTION_FIELDS, 0
+    columns = {"p": dist.p, "omega_index": np.arange(dist.n_points),
+               "omega_radians": dist.omegas(), "mass": dist.mass}
+    return [columns], DISTRIBUTION_FIELDS, 0
 
 
-def _part_rows(dist) -> list[dict]:
-    columns = (dist.omega.tolist(), dist.theta_est.tolist(), dist.k_est.tolist(), dist.mass.tolist())
-    return [
-        {
-            "p": dist.p,
-            "part": dist.part,
-            "n_part": dist.n_target,
-            "k_part": dist.k_true,
-            "omega_index": index,
-            "omega_radians": omega,
-            "theta_est": theta_est,
-            "k_est": k_est,
-            "mass": mass,
-            "bound": dist.bound,
-            "oracle_queries": dist.oracle_queries,
+def _part_columns(dist) -> dict:
+    return {"p": dist.p, "part": dist.part, "n_part": dist.n_target, "k_part": dist.k_true,
+            "omega_index": np.arange(dist.mass.size), "omega_radians": dist.omega,
+            "theta_est": dist.theta_est, "k_est": dist.k_est, "mass": dist.mass,
+            "bound": dist.bound, "oracle_queries": dist.oracle_queries}
+
+
+def _check_joint_rows(p: int) -> None:
+    # Same as 4**p > MAX_JOINT_ROWS, without building 4**p for a huge p.
+    if 2 * p >= MAX_JOINT_ROWS.bit_length():
+        raise ResourceLimitError(
+            f"count --part both in exact mode limited to {MAX_JOINT_ROWS} rows, got 4**{p}")
+
+
+def _joint_blocks(joint):
+    """The ``P²`` rows of the joint table, whole runs of part-0 indices per block.
+
+    Per-part cells are formatted once and repeated; only the pair sums and
+    products are new in each block.
+    """
+    k0, m0 = joint.part0.k_est, joint.part0.mass
+    k1, m1 = joint.part1.k_est, joint.part1.mass
+    size = k1.size
+    index_cells, k0_cells, k1_cells = map(_formatted, (np.arange(size), k0, k1))
+    step = max(1, _BLOCK_ROWS // size)
+    for start in range(0, size, step):
+        stop = min(start + step, size)
+        yield {
+            "p": joint.p,
+            "omega_index_0": _Cells([c for c in index_cells[start:stop] for _ in range(size)]),
+            "omega_index_1": _Cells(index_cells * (stop - start)),
+            "k_est_0": _Cells([c for c in k0_cells[start:stop] for _ in range(size)]),
+            "k_est_1": _Cells(k1_cells * (stop - start)),
+            "k_est": np.add.outer(k0[start:stop], k1).ravel(),
+            "mass": np.multiply.outer(m0[start:stop], m1).ravel(),
+            "bound": joint.bound,
+            "oracle_queries": joint.oracle_queries,
         }
-        for index, (omega, theta_est, k_est, mass) in enumerate(zip(*columns))
-    ]
 
 
-def _total_rows(joint) -> list[dict]:
-    part1 = list(enumerate(zip(joint.part1.k_est.tolist(), joint.part1.mass.tolist())))
-    rows = []
-    for index0, (k0, m0) in enumerate(zip(joint.part0.k_est.tolist(), joint.part0.mass.tolist())):
-        for index1, (k1, m1) in part1:
-            rows.append({
-                "p": joint.p,
-                "omega_index_0": index0,
-                "omega_index_1": index1,
-                "k_est_0": k0,
-                "k_est_1": k1,
-                "k_est": k0 + k1,
-                "mass": m0 * m1,
-                "bound": joint.bound,
-                "oracle_queries": joint.oracle_queries,
-            })
-    return rows
-
-
-def _cmd_count(args) -> tuple[list[dict], tuple[str, ...], int]:
+def _cmd_count(args):
     inst = _instance_from_args(args)
     if args.trials < 1:
         raise UsageError(f"--trials must be at least 1, got {args.trials}")
     part = None if args.part == "both" else int(args.part)
     if args.mode == "sampled":
         seed = args.seed if args.seed is not None else _generate_seed()
+    elif part is None:
+        _check_joint_rows(args.p)
     dist = full_count(args.p, inst) if part is None else partial_count(args.p, inst, part)
     if args.mode == "exact":
         if part is None:
-            return _total_rows(dist), TOTAL_COUNT_FIELDS, 0
-        return _part_rows(dist), PART_COUNT_FIELDS, 0
+            return _joint_blocks(dist), TOTAL_COUNT_FIELDS, 0
+        return [_part_columns(dist)], PART_COUNT_FIELDS, 0
 
     # One pushforward per run; trial t draws with its own derived generator.
-    rows = []
-    for trial in range(args.trials):
-        estimate = dist.draw(np.random.default_rng(_trial_seed(seed, trial)))
-        row = {"trial": trial, "p": estimate.p, "k_est": estimate.k_est,
-               "k_rounded": estimate.k_rounded, "bound": estimate.bound,
-               "oracle_queries": estimate.oracle_queries, "seed": seed}
-        if part is None:
-            row.update(k_est_0=estimate.part0.k_est, k_est_1=estimate.part1.k_est)
-        else:
-            row.update(part=part, theta_est=estimate.theta_est)
-        rows.append(row)
-    return rows, SAMPLED_TOTAL_FIELDS if part is None else SAMPLED_PART_FIELDS, 0
+    draws = [dist.draw(np.random.default_rng(_trial_seed(seed, trial)))
+             for trial in range(args.trials)]
+    columns = {"trial": np.arange(args.trials), "p": dist.p,
+               "k_est": np.array([d.k_est for d in draws]),
+               "k_rounded": np.array([d.k_rounded for d in draws]),
+               "bound": dist.bound, "oracle_queries": dist.oracle_queries, "seed": seed}
+    if part is None:
+        columns["k_est_0"] = np.array([d.part0.k_est for d in draws])
+        columns["k_est_1"] = np.array([d.part1.k_est for d in draws])
+        return [columns], SAMPLED_TOTAL_FIELDS, 0
+    columns.update(part=part, theta_est=np.array([d.theta_est for d in draws]))
+    return [columns], SAMPLED_PART_FIELDS, 0
 
 
-def _cmd_sweep(args) -> tuple[list[dict], tuple[str, ...], int]:
+def _cmd_sweep(args):
     try:
         cfg = load_sweep_config(args.config)
     except ValueError as exc:
         raise UsageError(f"invalid sweep config: {exc}")
     records = run_sweep(cfg)
-    rows = [record.as_dict() for record in records]
+    columns = {name: [getattr(r, name) for r in records] for name in SweepRecord.FIELD_ORDER}
     status = 0 if all(record.all_passed() for record in records) else 2
     if args.format is None:
         args.format = cfg.output_format
-    return rows, SweepRecord.FIELD_ORDER, status
+    return [columns], SweepRecord.FIELD_ORDER, status
 
 
-def _cmd_verify(args) -> tuple[list[dict], tuple[str, ...], int]:
+def _cmd_verify(args):
     inst = _instance_from_args(args)
     oracle = None
     if args.corrupt_oracle:
         oracle = build_oracle(inst)
         oracle[0, 0] = -oracle[0, 0]
     report = verify_suite(inst, args.p, oracle=oracle)
-    rows = [
-        {"check": c.name, "value": c.value, "limit": c.limit, "kind": c.kind, "passed": c.passed}
-        for c in report.checks
-    ]
-    return rows, VERIFY_FIELDS, 0 if report.all_passed else 2
+    columns = {field: [getattr(c, attr) for c in report.checks]
+               for field, attr in zip(VERIFY_FIELDS, ("name", "value", "limit", "kind", "passed"))}
+    return [columns], VERIFY_FIELDS, 0 if report.all_passed else 2
 
 
 _COMMANDS = {
@@ -338,8 +385,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        rows, fieldnames, status = _COMMANDS[args.command](args)
-        emit(rows, fieldnames, args.format or "csv", args.output)
+        blocks, fieldnames, status = _COMMANDS[args.command](args)
+        emit(blocks, fieldnames, args.format or "csv", args.output)
         return status
     except (UsageError, ValueError, ResourceLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

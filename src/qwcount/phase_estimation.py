@@ -66,6 +66,9 @@ MAX_ANALYTIC_QUBITS = 20
 # |Δ mod 2π| below this is treated as the removable singularity of the kernel.
 _SINGULARITY_TOL = 1e-13
 
+# Largest unitarity defect and state-norm error the circuit engine accepts.
+_UNITARITY_TOL = 1e-8
+
 _WEIGHT_CLAMP = 1e-14
 _MASS_CLAMP = 1e-14
 
@@ -167,7 +170,7 @@ def exact_distribution(mixture: EigenphaseMixture, p: int) -> PhaseDistribution:
     return PhaseDistribution(p, mass)
 
 
-def circuit_distribution(u, psi, p: int, *, tol: float = 1e-8) -> PhaseDistribution:
+def circuit_distribution(u, psi, p: int) -> PhaseDistribution:
     """Outcome distribution by direct simulation of the estimation circuit.
 
     Holds the joint state as a ``(d, P)`` array, one column per register
@@ -186,7 +189,7 @@ def circuit_distribution(u, psi, p: int, *, tol: float = 1e-8) -> PhaseDistribut
     Raises
     ------
     ValueError
-        If ``u`` is not unitary within ``tol`` or ``psi`` is not unit norm.
+        If ``u`` is not unitary or ``psi`` is not unit norm, within ``1e-8``.
     ResourceLimitError
         If ``p`` exceeds :data:`MAX_CIRCUIT_QUBITS`.
     """
@@ -199,11 +202,11 @@ def circuit_distribution(u, psi, p: int, *, tol: float = 1e-8) -> PhaseDistribut
     if um.shape[0] != um.shape[1] or um.shape[0] != vec.shape[0]:
         raise ValueError(f"operator shape {um.shape} does not match state dimension {vec.shape[0]}")
     defect = unitarity_defect(um)
-    if defect > tol:
-        raise ValueError(f"operator is not unitary: defect {defect:.3e} exceeds {tol:.1e}")
+    if defect > _UNITARITY_TOL:
+        raise ValueError(f"operator is not unitary: defect {defect:.3e} exceeds {_UNITARITY_TOL:.1e}")
     norm = np.linalg.norm(vec)
-    if abs(norm - 1.0) > tol:
-        raise ValueError(f"state norm {norm} is not 1 within {tol:.1e}")
+    if abs(norm - 1.0) > _UNITARITY_TOL:
+        raise ValueError(f"state norm {norm} is not 1 within {_UNITARITY_TOL:.1e}")
 
     n = 2**p
     state = np.empty((vec.shape[0], n), dtype=np.complex128)

@@ -21,9 +21,6 @@ from .linalg import as_matrix
 
 __all__ = [
     "BipartiteInstance",
-    "ArcIndex",
-    "arc_to_flat",
-    "flat_to_arc",
     "build_shift",
     "build_coin",
     "build_oracle",
@@ -93,33 +90,6 @@ class BipartiteInstance:
     def dim(self) -> int:
         """Dimension of the arc space (two arcs per edge)."""
         return 2 * self.n0 * self.n1
-
-
-@dataclass(frozen=True)
-class ArcIndex:
-    """A directed arc: direction bit plus the edge endpoints (u in V0, v in V1)."""
-
-    direction: int
-    u: int
-    v: int
-
-
-def arc_to_flat(inst: BipartiteInstance, arc: ArcIndex) -> int:
-    """Flat index of an arc under the ``direction*n0*n1 + u*n1 + v`` layout."""
-    if arc.direction not in (0, 1):
-        raise ValueError(f"direction must be 0 or 1, got {arc.direction}")
-    if not (0 <= arc.u < inst.n0 and 0 <= arc.v < inst.n1):
-        raise ValueError(f"arc endpoints ({arc.u}, {arc.v}) out of range for K_({inst.n0},{inst.n1})")
-    return arc.direction * inst.num_edges + arc.u * inst.n1 + arc.v
-
-
-def flat_to_arc(inst: BipartiteInstance, flat: int) -> ArcIndex:
-    """Inverse of :func:`arc_to_flat`."""
-    if not (0 <= flat < inst.dim):
-        raise ValueError(f"flat index {flat} out of range for dimension {inst.dim}")
-    direction, rest = divmod(flat, inst.num_edges)
-    u, v = divmod(rest, inst.n1)
-    return ArcIndex(direction, u, v)
 
 
 def build_shift(inst: BipartiteInstance) -> np.ndarray:

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import math
 
@@ -197,12 +198,12 @@ def test_run_sweep_check_subsets_match_full_run(monkeypatch):
     for subset, enabled in ((partial, ("part0", "part1")), (total, ("total",))):
         assert len(subset) == len(full)
         for got, want in zip(subset, full):
-            for name, value in got.as_dict().items():
+            for name, value in dataclasses.asdict(got).items():
                 prefix = name.rsplit("_", 1)[0]
                 if prefix in ("part0", "part1", "total") and prefix not in enabled:
                     assert value is None
                 else:
-                    assert value == want.as_dict()[name]
+                    assert value == getattr(want, name)
 
 
 def test_run_sweep_partial_only():

@@ -232,6 +232,14 @@ def test_circuit_rejects_unnormalized_state():
         circuit_distribution(np.eye(2), np.array([1.0, 1.0]), 3)
 
 
+def test_circuit_validation_tolerance_is_1e_8():
+    # The defect of diag(1 + x, 1) is (1 + x)² - 1, about 2x.
+    with pytest.raises(ValueError, match="within 1.0e-08"):
+        circuit_distribution(np.eye(2), np.array([1.0 + 2e-8, 0.0]), 3)
+    with pytest.raises(ValueError, match="exceeds 1.0e-08"):
+        circuit_distribution(np.diag([1.0 + 1e-8, 1.0]), np.array([1.0, 0.0]), 3)
+
+
 def test_circuit_rejects_oversize_register():
     with pytest.raises(ResourceLimitError):
         circuit_distribution(np.eye(2), np.array([1.0, 0.0]), 13)

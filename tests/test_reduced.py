@@ -5,11 +5,9 @@ import pytest
 
 from qwcount import (
     BASIS_LABELS,
-    ArcIndex,
     BipartiteInstance,
     WalkAngles,
     angles_from_instance,
-    arc_to_flat,
     build_evolution,
     build_oracle,
     build_reduced_evolution,
@@ -24,7 +22,7 @@ from qwcount import (
     unitarity_defect,
 )
 
-from conftest import iter_count_instances, random_instances
+from conftest import ArcIndex, arc_to_flat, iter_count_instances, random_instances
 
 FIG2 = BipartiteInstance(4, 3, frozenset({1, 3}), frozenset({1}))
 

@@ -4,22 +4,19 @@ import numpy as np
 import pytest
 
 from qwcount import (
-    ArcIndex,
     BipartiteInstance,
-    arc_to_flat,
     build_ancilla_oracle,
     build_coin,
     build_evolution,
     build_oracle,
     build_part_oracle,
     build_shift,
-    flat_to_arc,
     restrict_to_plus_ancilla,
     uniform_state,
     unitarity_defect,
 )
 
-from conftest import iter_count_instances, random_instances
+from conftest import ArcIndex, arc_to_flat, flat_to_arc, iter_count_instances, random_instances
 
 FIG2 = BipartiteInstance(4, 3, frozenset({1, 3}), frozenset({1}))
 K11 = BipartiteInstance(1, 1)
