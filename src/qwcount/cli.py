@@ -371,6 +371,7 @@ def _cmd_verify(args):
     return [columns], VERIFY_FIELDS, 0 if report.all_passed else 2
 
 
+# Each command returns (blocks for emit, field names, exit status).
 _COMMANDS = {
     "spectrum": _cmd_spectrum,
     "distribution": _cmd_distribution,
