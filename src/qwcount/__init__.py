@@ -47,15 +47,12 @@ from .counting import (
     CountEstimate,
     FullCountDistribution,
     FullCountEstimate,
-    estimate_k,
-    fold_phase,
     full_count,
     full_count_error_bound,
     grover_count,
     grover_mixture,
     partial_count,
     partial_count_error_bound,
-    reflect_phase,
     single_part_instance,
 )
 from .analysis import (

@@ -1,7 +1,11 @@
 """Marked-vertex counting via phase estimation, with exact pushforward mode.
 
 The single-shot algorithms estimate an eigenphase, fold it into a canonical
-quadrant, and convert it to a count through ``k = n sin²``.  Beyond the
+quadrant, and convert it to a count through ``k = n sin²``.  On a ``P``-point
+register the fold is an integer map on the grid index: ``m → min(m, P − m)``
+reflects phases in (π, 2π) onto [0, π], and for the walk ``→ min(·, P/2 − ·)``
+folds them onto [0, π/2].  The folded phase is ``2π·folded/P``, so outcomes
+that are mirror images in exact arithmetic get bit-equal estimates.  Beyond the
 single-shot (``sampled``) mode, every routine offers an ``exact`` mode that
 pushes the whole grid distribution through the same pipeline, so the error
 bounds and success probabilities become checkable statements about exact
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -30,9 +35,6 @@ from .reduced import angles_from_instance, eigenphase_table
 from .walk import BipartiteInstance, _check_part
 
 __all__ = [
-    "fold_phase",
-    "reflect_phase",
-    "estimate_k",
     "partial_count_error_bound",
     "adjusted_partial_count_error_bound",
     "full_count_error_bound",
@@ -47,28 +49,6 @@ __all__ = [
     "full_count",
     "grover_count",
 ]
-
-
-def reflect_phase(omega):
-    """First folding rule, elementwise: reflect phases in (π, 2π) onto [0, π]."""
-    omega = np.asarray(omega, dtype=np.float64)
-    return np.where((math.pi < omega) & (omega < TWO_PI), TWO_PI - omega, omega)
-
-
-def fold_phase(omega):
-    """Fold phases in [0, 2π) to their canonical representatives in [0, π/2], elementwise.
-
-    Applies ``x -> 2π - x`` when π < x < 2π, then ``x -> π - x`` when
-    x > π/2.  Both rules are strict, so π/2 is a fixed point and π maps to 0
-    through the second rule only.
-    """
-    x = reflect_phase(omega)
-    return np.where(x > math.pi / 2.0, math.pi - x, x)
-
-
-def estimate_k(theta_half, n_part: int):
-    """Count estimate from folded half-angles, elementwise: ``n_part * sin²(theta_half)``."""
-    return n_part * np.sin(theta_half) ** 2
 
 
 def partial_count_error_bound(k_part: int, n_part: int, grid_size: float) -> float:
@@ -182,13 +162,17 @@ class CountDistribution:
         c = float(self.k_true) if center is None else center
         return float(self.mass[np.abs(self.k_est - c) <= radius].sum())
 
+    @cached_property
+    def _cumulative(self) -> np.ndarray:
+        return np.cumsum(self.mass)
+
     def draw(self, rng: np.random.Generator) -> CountEstimate:
         """One sampled run: a grid index drawn by mass with one ``rng.random()``.
 
         The estimate carries no seed; callers that own the seed attach it.
         """
-        cumulative = np.cumsum(self.mass)
-        index = min(int(np.searchsorted(cumulative, rng.random(), side="right")), self.mass.size - 1)
+        index = min(int(np.searchsorted(self._cumulative, rng.random(), side="right")),
+                    self.mass.size - 1)
         k_est = float(self.k_est[index])
         return CountEstimate(
             k_est=k_est,
@@ -299,11 +283,21 @@ def _finish(dist, mode: str, seed: int | None):
     return replace(dist.draw(np.random.default_rng(seed)), seed=seed)
 
 
-def _pushforward(mixture: EigenphaseMixture, p: int, fold, to_k) -> dict[str, np.ndarray]:
+def _mirror(index: np.ndarray, size: int) -> np.ndarray:
+    """Fold grid indices about ``size / 2``: ``m → min(m, size − m)``."""
+    return np.minimum(index, size - index)
+
+
+def _count_distribution(mixture: EigenphaseMixture, p: int, n_target: int, k_true: int,
+                        part: int | None, fold, to_k) -> CountDistribution:
+    """Push ``mixture`` forward: ``fold`` maps grid indices, ``to_k`` folded phases."""
+    size = 2**p
     dist = exact_distribution(mixture, p)
-    omega = dist.omegas()
-    theta_est = fold(omega)
-    return {"omega": omega, "theta_est": theta_est, "k_est": to_k(theta_est), "mass": dist.mass}
+    theta_est = TWO_PI * fold(np.arange(size), size) / size
+    return CountDistribution(p=p, n_target=n_target, k_true=k_true, part=part,
+                             bound=partial_count_error_bound(k_true, n_target, size),
+                             oracle_queries=size - 1, omega=dist.omegas(),
+                             theta_est=theta_est, k_est=to_k(theta_est), mass=dist.mass)
 
 
 def partial_count(p: int, inst: BipartiteInstance, part: int, mode: str = "exact",
@@ -321,16 +315,10 @@ def partial_count(p: int, inst: BipartiteInstance, part: int, mode: str = "exact
     effective = single_part_instance(inst, part)
     n_part = inst.n0 if part == 0 else inst.n1
     k_part = effective.num_marked
-    mixture = eigenphase_table(angles_from_instance(effective))
-    dist = CountDistribution(
-        p=p,
-        n_target=n_part,
-        k_true=k_part,
-        part=part,
-        bound=partial_count_error_bound(k_part, n_part, 2**p),
-        oracle_queries=2**p - 1,
-        **_pushforward(mixture, p, fold_phase, lambda t: estimate_k(t, n_part)),
-    )
+    dist = _count_distribution(
+        eigenphase_table(angles_from_instance(effective)), p, n_part, k_part, part,
+        lambda m, size: _mirror(_mirror(m, size), size // 2),
+        lambda theta: n_part * np.sin(theta) ** 2)
     return _finish(dist, mode, seed)
 
 
@@ -380,14 +368,6 @@ def grover_count(p: int, n: int, k: int, mode: str = "exact",
     """
     _check_p(p)
     _check_mode(mode, seed)
-    mixture = grover_mixture(n, k)
-    dist = CountDistribution(
-        p=p,
-        n_target=n,
-        k_true=k,
-        part=None,
-        bound=partial_count_error_bound(k, n, 2**p),
-        oracle_queries=2**p - 1,
-        **_pushforward(mixture, p, reflect_phase, lambda t: estimate_k(t / 2.0, n)),
-    )
+    dist = _count_distribution(grover_mixture(n, k), p, n, k, None, _mirror,
+                               lambda theta: n * np.sin(theta / 2.0) ** 2)
     return _finish(dist, mode, seed)

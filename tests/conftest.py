@@ -71,3 +71,29 @@ def flat_to_arc(inst: BipartiteInstance, flat: int) -> ArcIndex:
     direction, rest = divmod(flat, inst.num_edges)
     u, v = divmod(rest, inst.n1)
     return ArcIndex(direction, u, v)
+
+
+# Float reference for the fold that qwcount.counting applies by grid index:
+# the phase folding rules applied to float phases, elementwise.
+
+
+def reflect_phase(omega):
+    """First folding rule, elementwise: reflect phases in (π, 2π) onto [0, π]."""
+    omega = np.asarray(omega, dtype=np.float64)
+    return np.where((math.pi < omega) & (omega < 2 * math.pi), 2 * math.pi - omega, omega)
+
+
+def fold_phase(omega):
+    """Fold phases in [0, 2π) to their canonical representatives in [0, π/2], elementwise.
+
+    Applies ``x -> 2π - x`` when π < x < 2π, then ``x -> π - x`` when
+    x > π/2.  Both rules are strict, so π/2 is a fixed point and π maps to 0
+    through the second rule only.
+    """
+    x = reflect_phase(omega)
+    return np.where(x > math.pi / 2.0, math.pi - x, x)
+
+
+def estimate_k(theta_half, n_part: int):
+    """Count estimate from folded half-angles, elementwise: ``n_part * sin²(theta_half)``."""
+    return n_part * np.sin(theta_half) ** 2

@@ -37,9 +37,7 @@ from qwcount import (
     circuit_distribution,
     eigen_residual,
     eigenphase_table,
-    estimate_k,
     exact_distribution,
-    fold_phase,
     fourier_kernel,
     full_count,
     good_estimate_mass,
@@ -55,6 +53,8 @@ from qwcount import (
     uniform_state,
     unitarity_defect,
 )
+
+from conftest import estimate_k, fold_phase
 
 TWO_PI = 2 * math.pi
 

@@ -27,20 +27,20 @@ GOLDEN = {
         "a8b846206abd185669a243d9e132e0c6bd34105a16b02057e8a5127288aa36d2"),
     "count_exact_part0": (
         ["count", *FIG2, "--p", "6", "--part", "0", "--mode", "exact"],
-        "ad81b306d6b3074b093b5ddff79c6ac685ab23a51214e1b4e87a5548c8c9a144"),
+        "e5b00a72b7151461593ad8e5085a5ad57d1bdfdbb823113409b79e771ffb48e3"),
     "count_exact_part1_json": (
         ["count", *FIG2, "--p", "6", "--part", "1", "--mode", "exact", "--format", "json"],
-        "5f81977de4fd91284271cd7d5209346bd41fbf44ce2248eb1740ee31d3a86dcf"),
+        "3d19131729c34ec2d70141d102eba246c0271c1c8e8f0e09414ab3ed42bd6c19"),
     "count_exact_both": (
         ["count", *FIG2, "--p", "5", "--part", "both", "--mode", "exact"],
-        "be32f50471a6435d30d3437b29563400dfda759733350ee6c3d803dd1d3385e7"),
+        "778ef4b08f5d4f9dbd6f836629ae48fbd5cdd756bef197870ecc1a95df28056c"),
     "count_exact_both_json": (
         ["count", "--n0", "5", "--n1", "7", "--k0", "2", "--k1", "3", "--p", "4",
          "--part", "both", "--format", "json"],
-        "ddf684f402ed8f6ff4e11535f75e23e1ebea26e4c68893b1544b64c5d5a01528"),
+        "dd1e74ae0ab2b5170e9bb0e5faa4552f955b5930accf085d2127029db97146fd"),
     "count_exact_both_json_p7": (
         ["count", *FIG2, "--p", "7", "--part", "both", "--format", "json"],
-        "1822807207e0d2048b51ca987a4297231830439457382311e3fb97337b34c5cc"),
+        "b9e844f504d1fbc40fcffb2bcfe2190b6cc87a87ca7bf6440e5793b0fbe9807f"),
     "distribution_analytic_p12_part64": (
         ["distribution", "--n0", "64", "--n1", "64", "--k0", "13", "--k1", "29", "--p", "12"],
         "d31c0fc5d4e1c97c2ac57e7ac9c3ecf91a85464855d1cb476f806008528efb1f"),
@@ -49,11 +49,11 @@ GOLDEN = {
         "e4c7874ee736967570d251bd84e39e6e876aa95173e5e01d97f453a0f47ce3ed"),
     "count_sampled_both": (
         ["count", *FIG2, "--p", "6", "--part", "both", *SAMPLED],
-        "e58a1efd394469ac8181732e257d4dfa614204be9740311e7fdcb8de4895ac56"),
+        "9c71201d2883739519cfa435438671b6cced3ab527a744ed34995f4805890826"),
     "count_sampled_both_json": (
         ["count", "--n0", "9", "--n1", "5", "--k0", "4", "--k1", "1", "--p", "8", *SAMPLED,
          "--format", "json"],
-        "62db41b7cd1396ca69bb6e08b75c5dc4c88b8efc2d5f97f6f32e44eae7e7a7b2"),
+        "6569319b8895a5babaf405d209d1db7f8a3a3fc3654248122272fbea5ce844a7"),
     "verify": (
         ["verify", *FIG2, "--p", "5"],
         "3ed0384ed4e87c3042e27fc21a0781baa24f1121d849a279a6919182f0e34019"),
@@ -62,7 +62,7 @@ GOLDEN = {
 # The default k0 range 0..3 makes n0 = 2, k0 = 3 infeasible: skipped points
 # are part of the golden run.
 SWEEP_CONFIG = "n0 = 2..3\nn1 = 2..3\nk1 = 0..1\np = 4,5\n"
-SWEEP_DIGEST = "cb2e29e82f73f3330149d3cfa85f27211ef2f89d7590b04f2527b2326de2e635"
+SWEEP_DIGEST = "58f9d4923b0d622ae0e2368533c73e54451dd12dc6286dc2d7c70c587c5020ed"
 
 
 def _stdout_sha256(capsys, argv) -> str:

@@ -14,9 +14,7 @@ from qwcount import (
     adjusted_full_count_error_bound,
     adjusted_partial_count_error_bound,
     circuit_distribution,
-    estimate_k,
     exact_distribution,
-    fold_phase,
     full_count,
     full_count_error_bound,
     GOOD_ESTIMATE_PROBABILITY,
@@ -24,16 +22,20 @@ from qwcount import (
     grover_mixture,
     partial_count,
     partial_count_error_bound,
-    reflect_phase,
     single_part_instance,
     total_variation,
 )
 
-from conftest import iter_count_instances
+from conftest import estimate_k, fold_phase, iter_count_instances, reflect_phase
 
 TWO_PI = 2 * math.pi
 
 FIG2 = BipartiteInstance(4, 3, frozenset({1, 3}), frozenset({1}))
+
+
+# fold_phase, reflect_phase and estimate_k are the float reference in
+# conftest; the tests below pin it to the scalar rules of _literal_fold, and
+# the package's fold by grid index is then checked against it.
 
 
 def test_fold_phase_examples():
@@ -43,6 +45,8 @@ def test_fold_phase_examples():
     assert fold_phase(0.0) == 0.0
     # The boundary pi/2 is a fixed point (both rules are strict).
     assert fold_phase(math.pi / 2) == math.pi / 2
+    for omega in (3 * math.pi / 2, math.pi - 0.3, math.pi, 0.0, math.pi / 2):
+        assert fold_phase(omega) == _literal_fold(omega)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -50,6 +54,7 @@ def test_fold_phase_range_and_idempotence(seed):
     rng = np.random.default_rng(seed)
     for omega in rng.uniform(0, TWO_PI, 300):
         folded = fold_phase(float(omega))
+        assert folded == _literal_fold(float(omega))
         assert 0.0 <= folded <= math.pi / 2
         assert fold_phase(folded) == folded
 
@@ -58,12 +63,18 @@ def test_reflect_phase():
     assert reflect_phase(3 * math.pi / 2) == pytest.approx(math.pi / 2, abs=1e-15)
     assert reflect_phase(0.4) == 0.4
     assert reflect_phase(math.pi) == math.pi
+    # The second rule of the literal fold is all that reflection leaves to do.
+    for omega in (0.4, math.pi, 3 * math.pi / 2, 1.9 * math.pi):
+        reflected = float(reflect_phase(omega))
+        assert _literal_fold(omega) == (math.pi - reflected if reflected > math.pi / 2 else reflected)
 
 
 def test_estimate_k_values():
     assert estimate_k(0.0, 7) == 0.0
     assert estimate_k(math.pi / 2, 5) == pytest.approx(5.0, abs=1e-12)
     assert estimate_k(math.pi / 4, 4) == pytest.approx(2.0, abs=1e-12)
+    for omega in (0.3, 2.0, 4.0, 6.0):
+        assert estimate_k(fold_phase(omega), 7) == 7 * np.sin(_literal_fold(omega)) ** 2
 
 
 def _literal_fold(omega: float) -> float:
@@ -84,6 +95,62 @@ def test_elementwise_fold_matches_literal_fold(p):
         # np.sin may round differently from math.sin in the last bit.
         literal = np.array([n * math.sin(t) ** 2 for t in folded.tolist()])
         assert np.abs(estimate_k(folded, n) - literal).max() <= 4 * np.finfo(float).eps * n
+
+
+K88 = BipartiteInstance.from_counts(8, 8, 3, 5)
+K57 = BipartiteInstance.from_counts(5, 7, 2, 3)
+
+
+@pytest.mark.parametrize("p", range(1, 21))
+def test_mirror_outcomes_are_bit_equal(p):
+    # Grid indices that fold to the same phase in exact arithmetic get the
+    # same bits: m, P - m, P/2 - m and P/2 + m for the walk, m and P - m for
+    # the baseline.  So the walk has P/4 + 1 distinct estimates, Grover P/2 + 1.
+    size = 2**p
+    m = np.arange(size)
+    walk, grover = partial_count(p, K88, 0), grover_count(p, 16, 8)
+    for mirror in ((size - m) % size, (size // 2 - m) % size, (size // 2 + m) % size):
+        assert np.array_equal(walk.theta_est[mirror], walk.theta_est)
+        assert np.array_equal(walk.k_est[mirror], walk.k_est)
+    assert np.array_equal(grover.theta_est[(size - m) % size], grover.theta_est)
+    assert np.array_equal(grover.k_est[(size - m) % size], grover.k_est)
+    if p >= 2:
+        assert np.unique(walk.k_est).size == size // 4 + 1
+    assert np.unique(grover.k_est).size == size // 2 + 1
+
+
+@pytest.mark.parametrize("p", range(1, 17))
+def test_index_fold_matches_float_reference(p):
+    eps = np.finfo(float).eps
+    for part, n in ((0, 5), (1, 7)):
+        walk = partial_count(p, K57, part)
+        reference = fold_phase(walk.omega)
+        assert np.abs(walk.theta_est - reference).max() <= 2 * np.spacing(math.pi)
+        assert np.abs(walk.k_est - estimate_k(reference, n)).max() <= 4 * eps * n
+    grover = grover_count(p, 16, 4)
+    reference = reflect_phase(grover.omega)
+    assert np.abs(grover.theta_est - reference).max() <= 2 * np.spacing(math.pi)
+    assert np.abs(grover.k_est - estimate_k(reference / 2.0, 16)).max() <= 4 * eps * 16
+
+
+@pytest.mark.parametrize("p", [4, 10, 16, 20])
+def test_k_est_matches_mpmath(p):
+    # k = n sin²(2πm/P) for the walk and n sin²(πm/P) for the baseline, at
+    # 50 digits.  sin² is invariant under the folds, so the grid index m
+    # needs no folding here.  Large registers check a seeded sample of m.
+    mpmath = pytest.importorskip("mpmath")
+    size = 2**p
+    indices = np.arange(size)
+    if size > 1024:
+        edges = [0, 1, size // 8, size // 4, size // 2, 3 * size // 4, size - 1]
+        indices = np.unique(np.concatenate((np.random.default_rng(p).integers(0, size, 2048), edges)))
+    walk, grover = partial_count(p, K88, 0), grover_count(p, 16, 4)
+    tol = 4 * np.finfo(float).eps
+    with mpmath.workdps(50):
+        for m in indices.tolist():
+            turn = mpmath.mpf(m) / size
+            assert abs(mpmath.mpf(float(walk.k_est[m])) - 8 * mpmath.sin(2 * mpmath.pi * turn) ** 2) <= tol * 8
+            assert abs(mpmath.mpf(float(grover.k_est[m])) - 16 * mpmath.sin(mpmath.pi * turn) ** 2) <= tol * 16
 
 
 def test_partial_bound_values():
@@ -307,6 +374,24 @@ def test_sampled_mode_draws_from_the_exact_distribution():
         counts[k] = counts.get(k, 0) + 1
     for k, count in counts.items():
         assert count / 4000 == pytest.approx(dist.mass[dist.k_est == k].sum(), abs=0.03)
+
+
+def test_draws_accumulate_the_mass_once(monkeypatch):
+    # T draws run np.cumsum once per part distribution, and each draw still
+    # takes one rng.random(), so sampled runs keep their outcomes.
+    joint = full_count(6, FIG2)
+    cumulative = [np.cumsum(joint.part0.mass), np.cumsum(joint.part1.mass)]
+    calls = []
+    cumsum = np.cumsum
+    monkeypatch.setattr(np, "cumsum", lambda *args, **kwargs: calls.append(1) or cumsum(*args, **kwargs))
+    rng, reference = np.random.default_rng(5), np.random.default_rng(5)
+    for _ in range(200):
+        total = joint.draw(rng)
+        for pick, part, acc in ((total.part0, joint.part0, cumulative[0]),
+                                (total.part1, joint.part1, cumulative[1])):
+            index = min(int(np.searchsorted(acc, reference.random(), side="right")), acc.size - 1)
+            assert pick.k_est == part.k_est[index]
+    assert len(calls) == 2
 
 
 def test_rounding_is_half_to_even():
