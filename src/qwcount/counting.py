@@ -157,10 +157,9 @@ class CountDistribution:
             values.setflags(write=False)
             object.__setattr__(self, name, values)
 
-    def mass_within(self, radius: float, center: float | None = None) -> float:
-        """Exact probability that the estimate lies within ``radius`` of ``center``."""
-        c = float(self.k_true) if center is None else center
-        return float(self.mass[np.abs(self.k_est - c) <= radius].sum())
+    def mass_within(self, radius: float) -> float:
+        """Exact probability that the estimate lies within ``radius`` of ``k_true``."""
+        return float(self.mass[np.abs(self.k_est - float(self.k_true)) <= radius].sum())
 
     @cached_property
     def _cumulative(self) -> np.ndarray:
@@ -185,19 +184,20 @@ class CountDistribution:
         )
 
 
-def _end_of_run(k0: np.ndarray, k1_sorted: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                holds) -> np.ndarray:
-    """Per part-0 index, ``lo`` plus the number of ``j`` in ``[lo, hi)`` where ``holds``.
+def _edge(k0: np.ndarray, k1_sorted: np.ndarray, guess: np.ndarray, holds) -> np.ndarray:
+    """Per part-0 index, the first sorted position ``j`` where ``holds(k0 + k1_sorted[j])`` fails.
 
-    ``holds(k0 + k1_sorted[j])`` must be true and then false as ``j`` grows,
-    so the count makes this the first index in the band where it fails.
+    ``holds`` must be true and then false as ``j`` grows, so each edge steps
+    from its ``searchsorted`` guess until the predicate changes value there.
     """
-    edge = lo.copy()
+    edge = np.searchsorted(k1_sorted, guess)
     last = k1_sorted.size - 1
-    for offset in range(int((hi - lo).max(initial=0))):
-        j = lo + offset
-        edge += (j < hi) & holds(k0 + k1_sorted[np.minimum(j, last)])
-    return edge
+    while True:
+        up = (edge <= last) & holds(k0 + k1_sorted[np.minimum(edge, last)])
+        down = (edge > 0) & ~holds(k0 + k1_sorted[np.maximum(edge - 1, 0)])
+        if not (up.any() or down.any()):
+            return edge
+        edge = edge + up - down
 
 
 @dataclass(frozen=True)
@@ -211,32 +211,26 @@ class FullCountDistribution:
     part0: CountDistribution
     part1: CountDistribution
 
-    def mass_within(self, radius: float, center: float | None = None) -> float:
-        """Exact joint probability that ``k̃0 + k̃1`` lies within ``radius`` of ``center``.
+    def mass_within(self, radius: float) -> float:
+        """Exact joint probability that ``k̃0 + k̃1`` lies within ``radius`` of ``k_true``.
 
         ``O(P log P)``: part 1 is sorted by ``k̃1`` with prefix sums of its
         mass, so the pairs with a given ``k̃0`` inside the event form one run
-        of sorted positions.  Two ``searchsorted`` lookups per ``k̃0`` find
-        that run up to a band of a few rounding errors at each end, and pairs
-        in a band are decided by the exact predicate
-        ``abs((k̃0 + k̃1) - center) <= radius``, so ties fall as in the
-        literal sum over all ``P²`` pairs.
+        of sorted positions.  Each end of that run starts at a
+        ``searchsorted`` guess and steps to where the exact predicate
+        ``(k̃0 + k̃1) - k_true < -radius`` (or ``<= radius``) changes value.
+        Rounding is monotone, so the predicate is monotone in ``k̃1`` and ties
+        fall as in the literal sum over all ``P²`` pairs.
         """
-        c = float(self.k_true) if center is None else center
+        if math.isnan(radius):
+            return 0.0
+        c = float(self.k_true)
         k0, m0 = self.part0.k_est, self.part0.mass
         order = np.argsort(self.part1.k_est, kind="stable")
         k1 = self.part1.k_est[order]
         prefix = np.concatenate(([0.0], np.cumsum(self.part1.mass[order])))
-        # Rounding bound for the thresholds below and for the predicate:
-        # a few ulps of the largest magnitude involved, with room to spare.
-        scale = abs(c) + float(k0.max()) + float(k1[-1])
-        scale += abs(radius) if math.isfinite(radius) else 0.0
-        tol = 32.0 * np.finfo(np.float64).eps * scale
-        low, high = (c - radius) - k0, (c + radius) - k0
-        lo = _end_of_run(k0, k1, np.searchsorted(k1, low - tol, "left"),
-                         np.searchsorted(k1, low + tol, "right"), lambda t: t - c < -radius)
-        hi = _end_of_run(k0, k1, np.searchsorted(k1, high - tol, "left"),
-                         np.searchsorted(k1, high + tol, "right"), lambda t: t - c <= radius)
+        lo = _edge(k0, k1, (c - radius) - k0, lambda t: t - c < -radius)
+        hi = _edge(k0, k1, (c + radius) - k0, lambda t: t - c <= radius)
         inside = np.where(hi > lo, prefix[hi] - prefix[lo], 0.0)
         return float(m0 @ inside)
 
@@ -269,11 +263,6 @@ def _check_mode(mode: str, seed) -> None:
         raise ValueError(f"mode must be 'exact' or 'sampled', got {mode!r}")
     if mode == "sampled" and seed is None:
         raise ValueError("sampled mode requires an explicit seed")
-
-
-def _check_p(p: int) -> None:
-    if p < 1:
-        raise ValueError(f"register size must be at least 1 qubit, got {p}")
 
 
 def _finish(dist, mode: str, seed: int | None):
@@ -310,7 +299,6 @@ def partial_count(p: int, inst: BipartiteInstance, part: int, mode: str = "exact
     the full :class:`CountDistribution`; sampled mode draws one outcome and
     returns a :class:`CountEstimate`.  The run costs ``P - 1`` oracle queries.
     """
-    _check_p(p)
     _check_mode(mode, seed)
     effective = single_part_instance(inst, part)
     n_part = inst.n0 if part == 0 else inst.n1
@@ -330,7 +318,6 @@ def full_count(p: int, inst: BipartiteInstance, mode: str = "exact",
     exact joint distribution is the product measure over outcome pairs.  Total
     cost is ``2P - 2`` oracle queries.
     """
-    _check_p(p)
     _check_mode(mode, seed)
     joint = FullCountDistribution(
         p=p,
@@ -366,7 +353,6 @@ def grover_count(p: int, n: int, k: int, mode: str = "exact",
     angle already lies in [0, π]) and ``k̃ = n sin²(θ̃/2)``.  Its error
     radius is the single-part one, :func:`partial_count_error_bound`.
     """
-    _check_p(p)
     _check_mode(mode, seed)
     dist = _count_distribution(grover_mixture(n, k), p, n, k, None, _mirror,
                                lambda theta: n * np.sin(theta / 2.0) ** 2)

@@ -188,7 +188,7 @@ def test_run_sweep_check_subsets_match_full_run(monkeypatch):
     grid = ((2, 4), (3,), (0, 1, 2), (1,), (4, 6))
     full = run_sweep(SweepConfig(*grid))
 
-    def no_joint_mass(self, radius, center=None):
+    def no_joint_mass(self, radius):
         raise AssertionError("partial-only sweep computed a joint mass")
 
     with monkeypatch.context() as patched:

@@ -213,13 +213,13 @@ def test_partial_count_certainty_on_grid():
     inst = BipartiteInstance.from_counts(4, 3, 2, 0)
     dist = partial_count(3, inst, 0)
     assert isinstance(dist, CountDistribution)
-    assert dist.mass_within(1e-9, center=2.0) == pytest.approx(1.0, abs=1e-9)
+    assert dist.mass_within(1e-9) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_partial_count_unmarked_part():
     dist = partial_count(4, BipartiteInstance.from_counts(5, 5, 0, 3), 0)
     assert dist.k_true == 0
-    assert dist.mass_within(1e-12, center=0.0) == pytest.approx(1.0, abs=1e-12)
+    assert dist.mass_within(1e-12) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_partial_count_metadata():
@@ -298,14 +298,14 @@ def test_partial_count_validation():
 def test_full_count_unmarked_certainty():
     joint = full_count(4, BipartiteInstance(3, 4))
     assert isinstance(joint, FullCountDistribution)
-    assert joint.mass_within(1e-12, center=0.0) == pytest.approx(1.0, abs=1e-12)
+    assert joint.mass_within(1e-12) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_full_count_double_grid_certainty():
     # Both half-angles on the 8-point grid: the total is exact.
     inst = BipartiteInstance(4, 4, frozenset({0, 1}), frozenset({2, 3}))
     joint = full_count(3, inst)
-    assert joint.mass_within(1e-9, center=4.0) == pytest.approx(1.0, abs=1e-9)
+    assert joint.mass_within(1e-9) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_full_count_fig2():
@@ -408,9 +408,11 @@ def test_grover_mixture_weights():
 
 def test_grover_count_trivial_cases():
     dist = grover_count(4, 8, 0)
-    assert dist.mass_within(1e-12, center=0.0) == pytest.approx(1.0, abs=1e-12)
+    assert dist.k_true == 0
+    assert dist.mass_within(1e-12) == pytest.approx(1.0, abs=1e-12)
     dist = grover_count(4, 8, 8)
-    assert dist.mass_within(1e-9, center=8.0) == pytest.approx(1.0, abs=1e-9)
+    assert dist.k_true == 8
+    assert dist.mass_within(1e-9) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_grover_count_on_grid_certainty():
@@ -464,12 +466,11 @@ def test_partial_masses_normalized(inst):
         assert dist.mass.sum() == pytest.approx(1.0, abs=1e-10)
 
 
-def _pairwise_joint_mass(joint, radius, center=None):
+def _pairwise_joint_mass(joint, radius):
     # The literal P x P sum over outcome pairs: reference for the sorted path.
-    c = float(joint.k_true) if center is None else center
     totals = joint.part0.k_est[:, None] + joint.part1.k_est[None, :]
     pair_mass = joint.part0.mass[:, None] * joint.part1.mass[None, :]
-    return float(pair_mass[np.abs(totals - c) <= radius].sum())
+    return float(pair_mass[np.abs(totals - float(joint.k_true)) <= radius].sum())
 
 
 @pytest.mark.parametrize("p", range(1, 7))
@@ -494,18 +495,28 @@ def test_joint_mass_matches_pairwise_sum(p):
 
 
 def test_joint_mass_edge_radii():
+    # Centers away from the true count are the same distributions with k_true replaced.
     joint = full_count(6, BipartiteInstance.from_counts(8, 8, 3, 5))
-    for radius, center in ((math.inf, None), (-1.0, None), (1e300, None), (3.0, -5.0),
-                           (3.0, 1e6), (3.0, 0.0), (1e-9, 8.0), (math.nan, None)):
-        expected = _pairwise_joint_mass(joint, radius, center)
-        assert joint.mass_within(radius, center) == pytest.approx(expected, abs=1e-14)
+    for radius, center in ((math.inf, 8), (-1.0, 8), (1e300, 8), (3.0, -5),
+                           (3.0, 10**6), (3.0, 0), (1e-9, 8), (math.nan, 8)):
+        shifted = replace(joint, k_true=center)
+        expected = _pairwise_joint_mass(shifted, radius)
+        assert shifted.mass_within(radius) == pytest.approx(expected, abs=1e-14)
     # At p = 2 every k_est is 0 or n, so runs of equal values sit on each edge.
     joint = full_count(2, BipartiteInstance.from_counts(4, 4, 2, 2))
     assert set(joint.part0.k_est.tolist()) == {0.0, 4.0}
     for radius in (0.0, 4.0, 8.0):
-        for center in (0.0, 4.0, 8.0):
-            assert joint.mass_within(radius, center) == pytest.approx(
-                _pairwise_joint_mass(joint, radius, center), abs=1e-15)
+        for center in (0, 4, 8):
+            shifted = replace(joint, k_true=center)
+            assert shifted.mass_within(radius) == pytest.approx(
+                _pairwise_joint_mass(shifted, radius), abs=1e-15)
+
+
+def test_joint_mass_nan_radius_is_zero():
+    # NaN fails every comparison, so the event is empty at any register size.
+    joint = full_count(16, BipartiteInstance.from_counts(8, 8, 3, 5))
+    assert joint.mass_within(math.nan) == 0.0
+    assert joint.part0.mass_within(math.nan) == 0.0
 
 
 def test_joint_mass_memory_stays_linear():
