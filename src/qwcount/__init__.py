@@ -53,7 +53,6 @@ from .counting import (
     grover_mixture,
     partial_count,
     partial_count_error_bound,
-    single_part_instance,
 )
 from .analysis import (
     FULL_COUNT_SUCCESS_PROBABILITY,

@@ -15,9 +15,9 @@ A pushforward is held as read-only float64 arrays indexed by grid index
 (``omega``, ``theta_est``, ``k_est``, ``mass``); a sampled run pushes the
 distribution forward once and draws grid indices from it.
 
-Counting a single part uses the part-restricted oracle, which is constructed
-internally from the instance; confinement of the marks to that part is
-guaranteed rather than trusted.  Counts are reported as real numbers (the
+Counting a single part runs the walk whose oracle marks only that part, so
+its distribution depends on ``(n_j, k_j, p)`` alone; the other part's size
+and marks are never read.  Counts are reported as real numbers (the
 error bounds apply before any rounding); a round-half-to-even integer is
 attached for convenience.
 """
@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .phase_estimation import TWO_PI, EigenphaseMixture, exact_distribution
-from .reduced import angles_from_instance, eigenphase_table
+from .reduced import WalkAngles, eigenphase_table, part_angle
 from .walk import BipartiteInstance, _check_part
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
     "FullCountDistribution",
     "CountEstimate",
     "FullCountEstimate",
-    "single_part_instance",
     "grover_mixture",
     "partial_count",
     "full_count",
@@ -250,14 +249,6 @@ class FullCountDistribution:
         )
 
 
-def single_part_instance(inst: BipartiteInstance, part: int) -> BipartiteInstance:
-    """The instance seen through the part-restricted oracle: other part unmarked."""
-    _check_part(part)
-    if part == 0:
-        return replace(inst, marked1=frozenset())
-    return replace(inst, marked0=frozenset())
-
-
 def _check_mode(mode: str, seed) -> None:
     if mode not in ("exact", "sampled"):
         raise ValueError(f"mode must be 'exact' or 'sampled', got {mode!r}")
@@ -293,18 +284,18 @@ def partial_count(p: int, inst: BipartiteInstance, part: int, mode: str = "exact
                   seed: int | None = None):
     """Count the marked vertices of one part.
 
-    Runs phase estimation on the walk whose oracle marks only ``part`` (the
-    eigenphase mixture of that walk is known in closed form), folds each
+    Runs phase estimation on the walk whose oracle marks only ``part``, the
+    closed form at angles ``(theta_part, 0)`` for either part; folds each
     outcome to [0, π/2] and applies ``k = n_part sin²``.  Exact mode returns
     the full :class:`CountDistribution`; sampled mode draws one outcome and
     returns a :class:`CountEstimate`.  The run costs ``P - 1`` oracle queries.
     """
+    _check_part(part)
     _check_mode(mode, seed)
-    effective = single_part_instance(inst, part)
-    n_part = inst.n0 if part == 0 else inst.n1
-    k_part = effective.num_marked
+    n_part, k_part = (inst.n0, inst.k0) if part == 0 else (inst.n1, inst.k1)
     dist = _count_distribution(
-        eigenphase_table(angles_from_instance(effective)), p, n_part, k_part, part,
+        eigenphase_table(WalkAngles.from_thetas(part_angle(k_part, n_part), 0.0)),
+        p, n_part, k_part, part,
         lambda m, size: _mirror(_mirror(m, size), size // 2),
         lambda theta: n_part * np.sin(theta) ** 2)
     return _finish(dist, mode, seed)

@@ -37,6 +37,7 @@ __all__ = [
     "InvariantBasis",
     "EigenRecord",
     "SpectralDecomposition",
+    "part_angle",
     "angles_from_instance",
     "invariant_basis",
     "transfer_block",
@@ -83,11 +84,14 @@ class WalkAngles:
         return cls(theta0, theta1, (theta0 + theta1) / 2.0, (theta0 - theta1) / 2.0)
 
 
+def part_angle(k_part: int, n_part: int) -> float:
+    """Angle encoding one part's marked count: ``arccos(1 - 2k/n)``."""
+    return math.acos(1.0 - 2.0 * k_part / n_part)
+
+
 def angles_from_instance(inst: BipartiteInstance) -> WalkAngles:
-    """Angles encoding the marked counts: ``theta_j = arccos(1 - 2*k_j/n_j)``."""
-    theta0 = math.acos(1.0 - 2.0 * inst.k0 / inst.n0)
-    theta1 = math.acos(1.0 - 2.0 * inst.k1 / inst.n1)
-    return WalkAngles.from_thetas(theta0, theta1)
+    """Angles encoding the marked counts, one :func:`part_angle` per part."""
+    return WalkAngles.from_thetas(part_angle(inst.k0, inst.n0), part_angle(inst.k1, inst.n1))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -97,3 +97,16 @@ def fold_phase(omega):
 def estimate_k(theta_half, n_part: int):
     """Count estimate from folded half-angles, elementwise: ``n_part * sin²(theta_half)``."""
     return n_part * np.sin(theta_half) ** 2
+
+
+def single_part_instance(inst: BipartiteInstance, part: int) -> BipartiteInstance:
+    """The instance seen through the part-restricted oracle: other part unmarked.
+
+    Reference for the part-restricted walk that :func:`qwcount.partial_count`
+    evaluates from ``(n_part, k_part)`` alone.
+    """
+    if part not in (0, 1):
+        raise ValueError(f"part must be 0 or 1, got {part}")
+    if part == 0:
+        return replace(inst, marked1=frozenset())
+    return replace(inst, marked0=frozenset())

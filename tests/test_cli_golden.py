@@ -30,17 +30,17 @@ GOLDEN = {
         "e5b00a72b7151461593ad8e5085a5ad57d1bdfdbb823113409b79e771ffb48e3"),
     "count_exact_part1_json": (
         ["count", *FIG2, "--p", "6", "--part", "1", "--mode", "exact", "--format", "json"],
-        "3d19131729c34ec2d70141d102eba246c0271c1c8e8f0e09414ab3ed42bd6c19"),
+        "fea0c8610313466a6151025636cfede4a2b0ddd124106f11aff5f86983cf37c1"),
     "count_exact_both": (
         ["count", *FIG2, "--p", "5", "--part", "both", "--mode", "exact"],
-        "778ef4b08f5d4f9dbd6f836629ae48fbd5cdd756bef197870ecc1a95df28056c"),
+        "4d151767466efb7e1cf446517b2ca496e358858680b2fc1e4daff30bc761f589"),
     "count_exact_both_json": (
         ["count", "--n0", "5", "--n1", "7", "--k0", "2", "--k1", "3", "--p", "4",
          "--part", "both", "--format", "json"],
-        "dd1e74ae0ab2b5170e9bb0e5faa4552f955b5930accf085d2127029db97146fd"),
+        "6a01088f27339209535c6ff14573c1da01a36ec6aa4e2c667b3653790711d762"),
     "count_exact_both_json_p7": (
         ["count", *FIG2, "--p", "7", "--part", "both", "--format", "json"],
-        "b9e844f504d1fbc40fcffb2bcfe2190b6cc87a87ca7bf6440e5793b0fbe9807f"),
+        "6eafb9fca16a14009dbe052ffcc472869f74ba852cbad9232ab99533408dc96f"),
     "distribution_analytic_p12_part64": (
         ["distribution", "--n0", "64", "--n1", "64", "--k0", "13", "--k1", "29", "--p", "12"],
         "d31c0fc5d4e1c97c2ac57e7ac9c3ecf91a85464855d1cb476f806008528efb1f"),
@@ -56,13 +56,13 @@ GOLDEN = {
         "6569319b8895a5babaf405d209d1db7f8a3a3fc3654248122272fbea5ce844a7"),
     "verify": (
         ["verify", *FIG2, "--p", "5"],
-        "3ed0384ed4e87c3042e27fc21a0781baa24f1121d849a279a6919182f0e34019"),
+        "29524127f3cf9ae770f7124923b5023287e3d3085a89316524665ec00acf8b0d"),
 }
 
 # The default k0 range 0..3 makes n0 = 2, k0 = 3 infeasible: skipped points
 # are part of the golden run.
 SWEEP_CONFIG = "n0 = 2..3\nn1 = 2..3\nk1 = 0..1\np = 4,5\n"
-SWEEP_DIGEST = "58f9d4923b0d622ae0e2368533c73e54451dd12dc6286dc2d7c70c587c5020ed"
+SWEEP_DIGEST = "f4d8cef9279d02a7ec0b68df9f69abd808279d2ec84b247fcef4512299571a04"
 
 
 def _stdout_sha256(capsys, argv) -> str:

@@ -22,11 +22,18 @@ from qwcount import (
     grover_mixture,
     partial_count,
     partial_count_error_bound,
-    single_part_instance,
     total_variation,
 )
+from qwcount.reduced import angles_from_instance, eigenphase_table
 
-from conftest import estimate_k, fold_phase, iter_count_instances, reflect_phase
+from conftest import (
+    estimate_k,
+    fold_phase,
+    iter_count_instances,
+    random_instances,
+    reflect_phase,
+    single_part_instance,
+)
 
 TWO_PI = 2 * math.pi
 
@@ -200,12 +207,49 @@ def test_bounds_reject_bad_grid():
 
 
 def test_single_part_instance():
+    # The conftest reference for the part-restricted walk.
     eff = single_part_instance(FIG2, 0)
     assert eff.marked0 == FIG2.marked0 and eff.marked1 == frozenset()
     eff = single_part_instance(FIG2, 1)
     assert eff.marked0 == frozenset() and eff.marked1 == FIG2.marked1
     with pytest.raises(ValueError):
         single_part_instance(FIG2, 2)
+
+
+PART_CASES = [(n, k) for n in range(1, 9) for k in range(n + 1)]
+ARRAYS = ("omega", "theta_est", "k_est", "mass")
+
+
+@pytest.mark.parametrize("p", range(1, 13))
+def test_part_distribution_depends_only_on_the_part_case(p):
+    # Part 0 of K_{n,m} and part 1 of K_{m,n} are one run on (n, k, p): the
+    # same bits, whatever size and marks the other part has.
+    for n, k in PART_CASES:
+        reference = partial_count(p, BipartiteInstance.from_counts(n, 1, k, 0), 0)
+        for m in range(1, 9):
+            other = (k + m + p) % (m + 1)
+            for dist in (partial_count(p, BipartiteInstance.from_counts(n, m, k, other), 0),
+                         partial_count(p, BipartiteInstance.from_counts(m, n, other, k), 1)):
+                for name in ARRAYS:
+                    assert getattr(dist, name).tobytes() == getattr(reference, name).tobytes(), (
+                        n, k, m, dist.part, name)
+
+
+@pytest.mark.parametrize("p", range(1, 13))
+def test_part_count_matches_part_restricted_walk(p):
+    # Part 0 is the pushforward of the walk with part 1 unmarked, bit for bit.
+    # Part 1 puts its angle in the other slot of the closed form, so its
+    # masses agree only to rounding, which grows with P like the kernel's
+    # (measured worst: P·eps/4 at p = 1, under P·eps/10 from p = 5).
+    for inst in random_instances(30, 8, seed=p):
+        for part in (0, 1):
+            walk = exact_distribution(
+                eigenphase_table(angles_from_instance(single_part_instance(inst, part))), p)
+            mass = partial_count(p, inst, part).mass
+            if part == 0:
+                assert mass.tobytes() == walk.mass.tobytes()
+            else:
+                assert np.abs(mass - walk.mass).max() <= 2**p * np.finfo(float).eps
 
 
 def test_partial_count_certainty_on_grid():
@@ -473,10 +517,12 @@ def _pairwise_joint_mass(joint, radius):
     return float(pair_mass[np.abs(totals - float(joint.k_true)) <= radius].sum())
 
 
-@pytest.mark.parametrize("p", range(1, 7))
+@pytest.mark.parametrize("p", range(1, 10))
 def test_joint_mass_matches_pairwise_sum(p):
-    # Every part case with n <= 8; part distributions depend on (n_j, k_j, p) only.
-    sizes = [(n, k) for n in range(1, 9) for k in range(n + 1)]
+    # Every part case with n <= 8 up to p = 6, a spread of them above, where
+    # the literal sum over P² pairs gets costly.  Part distributions depend
+    # on (n_j, k_j, p) only.
+    sizes = PART_CASES if p <= 6 else [(1, 0), (1, 1), (3, 1), (5, 2), (6, 3), (7, 7), (8, 3)]
     part0 = {(n, k): partial_count(p, BipartiteInstance.from_counts(n, 1, k, 0), 0) for n, k in sizes}
     part1 = {(n, k): partial_count(p, BipartiteInstance.from_counts(1, n, 0, k), 1) for n, k in sizes}
     threshold = 0.65 - 1e-9
