@@ -11,7 +11,9 @@ fails (nothing passes vacuously).
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -47,6 +49,7 @@ from .walk import (
 __all__ = [
     "FULL_COUNT_SUCCESS_PROBABILITY",
     "MAX_FULL_SPACE_EDGES",
+    "MAX_SWEEP_POINTS",
     "BoundReport",
     "bound_satisfaction_mass",
     "joint_success_mass",
@@ -66,6 +69,9 @@ FULL_COUNT_SUCCESS_PROBABILITY = 0.65
 
 # Guard for routines that build the full arc space.
 MAX_FULL_SPACE_EDGES = 64
+
+# Candidate points of a sweep grid: the product of its five value-list lengths.
+MAX_SWEEP_POINTS = 10**6
 
 # Verify-suite limits.  A bound mass passes when it reaches its threshold
 # less _THRESHOLD_SLACK, which absorbs rounding in the exact sums.
@@ -106,9 +112,21 @@ def joint_success_mass(inst: BipartiteInstance, p: int) -> BoundReport:
     return _total_report(full_count(p, inst, "exact"))
 
 
+_GRID_FIELDS = ("n0_values", "n1_values", "k0_values", "k1_values", "p_values")
+
+
+def _length(values) -> int:
+    """Number of values; a parsed ``lo..hi`` range is counted without expanding it."""
+    return values.stop - values.start if isinstance(values, range) else len(values)
+
+
 @dataclass(frozen=True)
 class SweepConfig:
-    """Grid of instances and register sizes to check, plus output options."""
+    """Grid of instances and register sizes to check, plus output options.
+
+    A value list may be given as a ``range``; the grid is sized against
+    :data:`MAX_SWEEP_POINTS` before any list is expanded into a tuple.
+    """
 
     n0_values: tuple[int, ...]
     n1_values: tuple[int, ...]
@@ -119,8 +137,13 @@ class SweepConfig:
     output_format: str = "csv"
 
     def __post_init__(self):
-        for name in ("n0_values", "n1_values", "k0_values", "k1_values", "p_values"):
-            values = getattr(self, name)
+        points = math.prod(_length(getattr(self, name)) for name in _GRID_FIELDS)
+        if points > MAX_SWEEP_POINTS:
+            raise ResourceLimitError(
+                f"sweep limited to {MAX_SWEEP_POINTS} candidate grid points, got {points}")
+        for name in _GRID_FIELDS:
+            values = tuple(getattr(self, name))
+            object.__setattr__(self, name, values)
             if len(values) == 0:
                 raise ValueError(f"{name} must be nonempty")
             if any(v < 0 for v in values):
@@ -136,15 +159,19 @@ class SweepConfig:
             raise ValueError(f"output format must be csv or json, got {self.output_format!r}")
 
 
-def _parse_int_values(text: str, key: str) -> tuple[int, ...]:
+def _parse_int_values(text: str, key: str) -> range | tuple[int, ...]:
     text = text.strip()
     if ".." in text:
         lo_text, hi_text = text.split("..", 1)
         lo, hi = int(lo_text), int(hi_text)
         if hi < lo:
             raise ValueError(f"{key}: empty range {text!r}")
-        return tuple(range(lo, hi + 1))
+        return range(lo, hi + 1)
     return tuple(int(item.strip()) for item in text.split(",") if item.strip())
+
+
+def _largest(values: range | tuple[int, ...]) -> int:
+    return values[-1] if isinstance(values, range) else max(values)
 
 
 def parse_sweep_config(text: str) -> SweepConfig:
@@ -178,8 +205,8 @@ def parse_sweep_config(text: str) -> SweepConfig:
 
     n0 = _parse_int_values(values["n0"], "n0")
     n1 = _parse_int_values(values["n1"], "n1")
-    k0 = _parse_int_values(values["k0"], "k0") if "k0" in values else tuple(range(max(n0) + 1))
-    k1 = _parse_int_values(values["k1"], "k1") if "k1" in values else tuple(range(max(n1) + 1))
+    k0 = _parse_int_values(values["k0"], "k0") if "k0" in values else range(_largest(n0) + 1)
+    k1 = _parse_int_values(values["k1"], "k1") if "k1" in values else range(_largest(n1) + 1)
     p = _parse_int_values(values["p"], "p")
     checks = tuple(c.strip() for c in values.get("checks", "partial,total").split(",") if c.strip())
     return SweepConfig(n0, n1, k0, k1, p, checks, values.get("format", "csv"))
@@ -216,16 +243,14 @@ class SweepRecord:
     total_mass: float | None
     total_pass: bool | None
 
-    FIELD_ORDER = (
-        "n0", "n1", "k0", "k1", "p", "theta0", "theta1", "mu", "sigma",
-        "part0_bound", "part0_mass", "part0_pass",
-        "part1_bound", "part1_mass", "part1_pass",
-        "total_bound", "total_mass", "total_pass",
-    )
+    FIELD_ORDER: ClassVar[tuple[str, ...]]
 
     def all_passed(self) -> bool:
         flags = (self.part0_pass, self.part1_pass, self.total_pass)
         return all(f for f in flags if f is not None)
+
+
+SweepRecord.FIELD_ORDER = tuple(field.name for field in fields(SweepRecord))
 
 
 def _sweep_point(point: tuple[int, int, int, int, int], checks: tuple[str, ...]) -> SweepRecord:

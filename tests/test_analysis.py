@@ -19,6 +19,7 @@ from qwcount import (
     run_sweep,
     verify_suite,
 )
+from qwcount.analysis import MAX_SWEEP_POINTS, SweepRecord
 from qwcount.errors import ResourceLimitError
 
 FIG2 = BipartiteInstance(4, 3, frozenset({1, 3}), frozenset({1}))
@@ -107,6 +108,27 @@ def test_parse_sweep_config_rejects_unknown_key():
         parse_sweep_config("n0 = 2\nn1 = 2\n")  # missing p
     with pytest.raises(ValueError):
         parse_sweep_config("n0 = 2\nn0 = 3\nn1 = 2\np = 4\n")
+
+
+def test_sweep_grid_guard_counts_candidate_points():
+    # The product of the five list lengths, infeasible points included.
+    assert MAX_SWEEP_POINTS == 10**6
+    cfg = parse_sweep_config("n0 = 1..8\nn1 = 1..8\np = 4..6\n")
+    assert math.prod(map(len, (cfg.n0_values, cfg.n1_values, cfg.k0_values,
+                               cfg.k1_values, cfg.p_values))) == 15_552
+    at_limit = SweepConfig(range(1, 1001), range(1, 11), range(10), range(10), (4,))
+    assert at_limit.n0_values == tuple(range(1, 1001))
+    with pytest.raises(ResourceLimitError, match="got 1001000"):
+        SweepConfig(range(1, 1002), range(1, 11), range(10), range(10), (4,))
+    with pytest.raises(ResourceLimitError):
+        parse_sweep_config(f"n0 = 1..{10**30}\nn1 = 1\nk0 = 0\np = 4\n")
+
+
+def test_sweep_record_field_order_follows_the_fields():
+    names = tuple(field.name for field in dataclasses.fields(SweepRecord))
+    assert SweepRecord.FIELD_ORDER == names
+    assert names[:5] == ("n0", "n1", "k0", "k1", "p") and names[-1] == "total_pass"
+    assert len(names) == 18
 
 
 def test_sweep_config_validation():

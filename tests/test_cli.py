@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qwcount.analysis import load_sweep_config, run_sweep, verify_suite
+from qwcount.analysis import MAX_SWEEP_POINTS, load_sweep_config, run_sweep, verify_suite
 from qwcount.cli import (
     DISTRIBUTION_FIELDS,
     MAX_JOINT_ROWS,
@@ -232,6 +232,28 @@ def test_sweep_bad_config_exits_1(capsys, tmp_path):
 def test_sweep_missing_config_file_exits_1(capsys, tmp_path):
     status, _, _ = run_cli(capsys, "sweep", "--config", str(tmp_path / "missing.cfg"))
     assert status == 1
+
+
+@pytest.mark.parametrize("text", [
+    "n0 = 1..2000000\nn1 = 2\np = 4\n",
+    # 1,000 x 1,000 part sizes with the default k ranges: 1.0e12 candidates.
+    "n0 = 1..1000\nn1 = 1..1000\np = 4\n",
+])
+def test_sweep_oversize_grid_exits_1(capsys, tmp_path, text):
+    # Sized before any value list or point list is expanded.
+    config = tmp_path / "sweep.cfg"
+    config.write_text(text)
+    tracemalloc.start()
+    try:
+        status = main(["sweep", "--config", str(config)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert status == 1
+    assert captured.out == ""
+    assert f"sweep limited to {MAX_SWEEP_POINTS} candidate grid points" in captured.err
+    assert peak < 2**20
 
 
 def test_output_to_file(capsys, tmp_path):
