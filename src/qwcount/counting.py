@@ -313,10 +313,11 @@ def full_count(p: int, inst: BipartiteInstance, mode: str = "exact",
     joint = FullCountDistribution(
         p=p,
         k_true=inst.num_marked,
-        bound=full_count_error_bound(inst.k0, inst.n0, inst.k1, inst.n1, 2**p),
-        oracle_queries=2 * (2**p - 1),
+        # Parts first: their engine rejects a register before 2**p is formed.
         part0=partial_count(p, inst, 0, "exact"),
         part1=partial_count(p, inst, 1, "exact"),
+        bound=full_count_error_bound(inst.k0, inst.n0, inst.k1, inst.n1, 2**p),
+        oracle_queries=2 * (2**p - 1),
     )
     return _finish(joint, mode, seed)
 

@@ -547,6 +547,24 @@ def test_cli_joint_table_oversize_register_exits_1(capsys, p):
     assert peak < 2**20
 
 
+@pytest.mark.parametrize("p", [21, 10**6])
+def test_cli_sampled_total_oversize_register_exits_1(capsys, p):
+    # The analytic engine's guard runs before the total's bound forms 2**p.
+    argv = ["count", *FIG2_ARGS, "--p", str(p), "--part", "both", "--mode", "sampled",
+            "--trials", "1", "--seed", "1"]
+    tracemalloc.start()
+    try:
+        status = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert status == 1
+    assert captured.out == ""
+    assert f"analytic engine limited to p <= 20, got {p}" in captured.err
+    assert peak < 2**20
+
+
 def test_joint_table_guard_admits_p10_and_spares_sampled_mode(capsys):
     assert MAX_JOINT_ROWS >= 4**10
     assert 4**11 > MAX_JOINT_ROWS
