@@ -238,7 +238,7 @@ def test_sweep_missing_config_file_exits_1(capsys, tmp_path):
     "n0 = 1..2000000\nn1 = 2\np = 4\n",
     # 1,000 x 1,000 part sizes with the default k ranges: 1.0e12 candidates.
     "n0 = 1..1000\nn1 = 1..1000\np = 4\n",
-])
+], ids=["long_range", "parts_1000x1000"])
 def test_sweep_oversize_grid_exits_1(capsys, tmp_path, text):
     # Sized before any value list or point list is expanded.
     config = tmp_path / "sweep.cfg"

@@ -217,7 +217,6 @@ def test_single_part_instance():
 
 
 PART_CASES = [(n, k) for n in range(1, 9) for k in range(n + 1)]
-ARRAYS = ("omega", "theta_est", "k_est", "mass")
 
 
 @pytest.mark.parametrize("p", range(1, 13))
@@ -230,7 +229,7 @@ def test_part_distribution_depends_only_on_the_part_case(p):
             other = (k + m + p) % (m + 1)
             for dist in (partial_count(p, BipartiteInstance.from_counts(n, m, k, other), 0),
                          partial_count(p, BipartiteInstance.from_counts(m, n, other, k), 1)):
-                for name in ARRAYS:
+                for name in ("omega", "theta_est", "k_est", "mass"):
                     assert getattr(dist, name).tobytes() == getattr(reference, name).tobytes(), (
                         n, k, m, dist.part, name)
 
