@@ -18,7 +18,7 @@ from typing import ClassVar
 import numpy as np
 
 from .counting import CountDistribution, FullCountDistribution, full_count, partial_count
-from .linalg import eigen_residual, unitarity_defect
+from .linalg import as_matrix, eigen_residual, unitarity_defect
 from .phase_estimation import (
     GOOD_ESTIMATE_PROBABILITY,
     circuit_distribution,
@@ -167,7 +167,10 @@ def _parse_int_values(text: str, key: str) -> range | tuple[int, ...]:
         if hi < lo:
             raise ValueError(f"{key}: empty range {text!r}")
         return range(lo, hi + 1)
-    return tuple(int(item.strip()) for item in text.split(",") if item.strip())
+    values = tuple(int(item.strip()) for item in text.split(",") if item.strip())
+    if not values:
+        raise ValueError(f"{key}: no values")
+    return values
 
 
 def _largest(values: range | tuple[int, ...]) -> int:
@@ -282,6 +285,11 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     Infeasible points (a marked count exceeding its part size) are skipped
     with one INFO summary (per-point notices at DEBUG).  The result is a pure
     function of the config.
+
+    Raises
+    ------
+    ValueError
+        If every grid point is infeasible, so there is nothing to check.
     """
     points = []
     skipped = 0
@@ -298,6 +306,8 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
                         points.append((n0, n1, k0, k1, p))
     if skipped:
         logger.info("skipped %d infeasible grid points", skipped)
+    if not points:
+        raise ValueError("sweep config has no feasible grid points")
     return [_sweep_point(pt, cfg.checks) for pt in points]
 
 
@@ -347,7 +357,7 @@ def verify_suite(inst: BipartiteInstance, p: int, *,
 
     shift = build_shift(inst)
     coin = build_coin(inst)
-    oracle_matrix = build_oracle(inst) if oracle is None else np.asarray(oracle, dtype=np.complex128)
+    oracle_matrix = build_oracle(inst) if oracle is None else as_matrix(oracle)
     part_oracles = {j: build_part_oracle(inst, j) for j in (0, 1)}
     ancilla_oracles = {j: build_ancilla_oracle(inst, j) for j in (0, 1)}
     evolution = build_evolution(inst, oracle_matrix)

@@ -1,11 +1,15 @@
-"""Dense complex linear algebra helpers used by every other module.
+"""Dense linear algebra helpers used by every other module.
 
-Matrices are two-dimensional numpy arrays of dtype complex128 (row-major)
-and vectors are one-dimensional complex128 arrays.  Every dimension in this
-package is small (a few hundred at most), so storage is dense throughout and
-there is no sparse or arbitrary-precision path.  No general-purpose
-eigensolver is used anywhere: eigenpairs come from closed forms and are
-checked with :func:`eigen_residual`.
+Matrices are two-dimensional numpy arrays (row-major) and vectors are
+one-dimensional arrays, both float64 when the entries are real and
+complex128 when they are complex.  The walk operators, the invariant basis
+and the reduced step are real, so their products run in real BLAS; numpy's
+dtype promotion is the only dispatch, and a complex operand anywhere makes
+the product complex.  Every dimension in this package is small (a few
+hundred at most), so storage is dense throughout and there is no sparse or
+arbitrary-precision path.  No general-purpose eigensolver is used anywhere:
+eigenpairs come from closed forms and are checked with
+:func:`eigen_residual`.
 """
 
 from __future__ import annotations
@@ -21,30 +25,37 @@ __all__ = [
 ]
 
 
+def _as_finite(a, rank: int, kind: str) -> np.ndarray:
+    """``a`` as a finite array of the given rank: complex128 if complex, else float64."""
+    arr = np.asarray(a)
+    if arr.dtype.kind not in "biufc":
+        raise ValueError(f"{kind} entries must be numeric, got dtype {arr.dtype}")
+    arr = arr.astype(np.complex128 if arr.dtype.kind == "c" else np.float64, copy=False)
+    if arr.ndim != rank:
+        raise ValueError(f"expected a {kind}, got array of rank {arr.ndim}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{kind} entries must be finite")
+    return arr
+
+
 def as_matrix(a) -> np.ndarray:
-    """Coerce ``a`` to a finite complex128 matrix.
+    """Coerce ``a`` to a finite matrix.
+
+    Complex input becomes complex128; any other numeric input (bool, integer,
+    float) becomes float64, so a real operator stays real.
 
     Raises
     ------
     ValueError
-        If ``a`` is not two-dimensional or contains NaN/Inf entries.
+        If ``a`` is not numeric, not two-dimensional, or contains NaN/Inf
+        entries.
     """
-    m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2:
-        raise ValueError(f"expected a matrix, got array of rank {m.ndim}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite")
-    return m
+    return _as_finite(a, 2, "matrix")
 
 
 def as_vector(v) -> np.ndarray:
-    """Coerce ``v`` to a finite complex128 vector."""
-    w = np.asarray(v, dtype=np.complex128)
-    if w.ndim != 1:
-        raise ValueError(f"expected a vector, got array of rank {w.ndim}")
-    if not np.all(np.isfinite(w)):
-        raise ValueError("vector entries must be finite")
-    return w
+    """Coerce ``v`` to a finite vector, with the dtype rule of :func:`as_matrix`."""
+    return _as_finite(v, 1, "vector")
 
 
 def mat_mul(a, b) -> np.ndarray:

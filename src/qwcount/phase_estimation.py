@@ -183,8 +183,11 @@ def circuit_distribution(u, psi, p: int) -> PhaseDistribution:
     ``state[:, 2^e:2^{e+1}] = u^{2^e} @ state[:, :2^e]``, and each column
     gets the same powers in the same order as a per-bit gather and scatter
     over all ``P`` columns would give it.  The cost is ``(P-1)·d²`` row work
-    and ``p-1`` squarings.  The inverse Fourier transform on the register
-    follows, and the marginal is ``|·|²`` summed over the system axis.
+    and ``p-1`` squarings.  The state takes the promoted dtype of ``u`` and
+    ``psi``, so for a real walk and a real start the squarings and the prefix
+    doubling run in real arithmetic; a complex operand makes them complex.
+    The inverse Fourier transform on the register follows, always in
+    complex128, and the marginal is ``|·|²`` summed over the system axis.
 
     Raises
     ------
@@ -209,7 +212,7 @@ def circuit_distribution(u, psi, p: int) -> PhaseDistribution:
         raise ValueError(f"state norm {norm} is not 1 within {_UNITARITY_TOL:.1e}")
 
     n = 2**p
-    state = np.empty((vec.shape[0], n), dtype=np.complex128)
+    state = np.empty((vec.shape[0], n), dtype=np.result_type(um, vec))
     state[:, 0] = vec / math.sqrt(n)
     power = um
     for e in range(p):
@@ -217,8 +220,11 @@ def circuit_distribution(u, psi, p: int) -> PhaseDistribution:
         if e:
             power = power @ power
         state[:, half:2 * half] = power @ state[:, :half]
-    # Inverse Fourier transform on the register index.
-    state = np.fft.fft(state, axis=1) / math.sqrt(n)
+    # Inverse Fourier transform on the register index.  Rebinding drops a
+    # real prefix buffer before the transform allocates its output.
+    state = state.astype(np.complex128, copy=False)
+    state = np.fft.fft(state, axis=1)
+    state /= math.sqrt(n)
     return PhaseDistribution(p, (np.abs(state) ** 2).sum(axis=0))
 
 

@@ -128,7 +128,7 @@ def invariant_basis(inst: BipartiteInstance) -> InvariantBasis:
         if size == 0:
             vectors.append(None)
             continue
-        vec = np.zeros(inst.dim, dtype=np.complex128)
+        vec = np.zeros(inst.dim)
         if tail.startswith("K0"):
             vec[:half] = np.kron(tails, heads)
         else:
@@ -142,20 +142,17 @@ def invariant_basis(inst: BipartiteInstance) -> InvariantBasis:
 def transfer_block(x: float) -> np.ndarray:
     """The 4x4 block mapping one direction sector to the other in one step."""
     c, s = math.cos(x), math.sin(x)
-    return np.array(
-        [
-            [c, -s, 0.0, 0.0],
-            [0.0, 0.0, -c, s],
-            [-s, -c, 0.0, 0.0],
-            [0.0, 0.0, s, c],
-        ],
-        dtype=np.complex128,
-    )
+    return np.array([
+        [c, -s, 0.0, 0.0],
+        [0.0, 0.0, -c, s],
+        [-s, -c, 0.0, 0.0],
+        [0.0, 0.0, s, c],
+    ])
 
 
 def build_reduced_evolution(angles: WalkAngles) -> np.ndarray:
     """The search step on the invariant subspace: off-diagonal transfer blocks."""
-    reduced = np.zeros((8, 8), dtype=np.complex128)
+    reduced = np.zeros((8, 8))
     reduced[:4, 4:] = transfer_block(angles.theta0)
     reduced[4:, :4] = transfer_block(angles.theta1)
     return reduced
@@ -189,9 +186,7 @@ def reduced_uniform_state(angles: WalkAngles) -> np.ndarray:
     s0, c0 = math.sin(angles.theta0 / 2.0), math.cos(angles.theta0 / 2.0)
     s1, c1 = math.sin(angles.theta1 / 2.0), math.cos(angles.theta1 / 2.0)
     coefficients = np.array(
-        [s0 * s1, s0 * c1, c0 * s1, c0 * c1, s1 * s0, s1 * c0, c1 * s0, c1 * c0],
-        dtype=np.complex128,
-    )
+        [s0 * s1, s0 * c1, c0 * s1, c0 * c1, s1 * s0, s1 * c0, c1 * s0, c1 * c0])
     return coefficients / math.sqrt(2.0)
 
 

@@ -7,7 +7,9 @@ back.  The flat index is ``direction*n0*n1 + u*n1 + v``, which makes the
 shift a clean block swap and keeps the direction-0 coin blocks contiguous.
 
 One search step applies the marked-vertex oracle, then the Grover coin at
-every tail vertex, then the arc-reversing shift.
+every tail vertex, then the arc-reversing shift.  Every entry of these
+operators is real (0, ±1 or ``2/d - δ``), so every builder returns a float64
+array and the step is a real orthogonal matrix.
 """
 
 from __future__ import annotations
@@ -94,13 +96,13 @@ class BipartiteInstance:
 
 def build_shift(inst: BipartiteInstance) -> np.ndarray:
     """Flip-flop shift: swaps each arc with its reverse.  Involution."""
-    x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
-    return np.kron(x, np.eye(inst.num_edges, dtype=np.complex128))
+    x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    return np.kron(x, np.eye(inst.num_edges))
 
 
 def _grover_block(d: int) -> np.ndarray:
     """Reflection about the uniform state on d outgoing arcs: (2/d)J - I."""
-    return (2.0 / d) * np.ones((d, d), dtype=np.complex128) - np.eye(d, dtype=np.complex128)
+    return (2.0 / d) * np.ones((d, d)) - np.eye(d)
 
 
 def build_coin(inst: BipartiteInstance) -> np.ndarray:
@@ -112,9 +114,9 @@ def build_coin(inst: BipartiteInstance) -> np.ndarray:
     gets the 1x1 identity block.
     """
     half = inst.num_edges
-    coin = np.zeros((inst.dim, inst.dim), dtype=np.complex128)
-    coin[:half, :half] = np.kron(np.eye(inst.n0, dtype=np.complex128), _grover_block(inst.n1))
-    coin[half:, half:] = np.kron(_grover_block(inst.n0), np.eye(inst.n1, dtype=np.complex128))
+    coin = np.zeros((inst.dim, inst.dim))
+    coin[:half, :half] = np.kron(np.eye(inst.n0), _grover_block(inst.n1))
+    coin[half:, half:] = np.kron(_grover_block(inst.n0), np.eye(inst.n1))
     return coin
 
 
@@ -132,7 +134,7 @@ def _oracle_signs(inst: BipartiteInstance, parts: tuple[int, ...]) -> np.ndarray
 
 def build_oracle(inst: BipartiteInstance) -> np.ndarray:
     """Diagonal ±1 oracle: flips the amplitude of arcs whose tail is marked."""
-    return np.diag(_oracle_signs(inst, (0, 1))).astype(np.complex128)
+    return np.diag(_oracle_signs(inst, (0, 1)))
 
 
 def _check_part(part: int) -> None:
@@ -144,7 +146,7 @@ def build_part_oracle(inst: BipartiteInstance, part: int) -> np.ndarray:
     """Oracle restricted to one part: acts like the full oracle on arcs with
     direction bit ``part`` and as the identity elsewhere."""
     _check_part(part)
-    return np.diag(_oracle_signs(inst, (part,))).astype(np.complex128)
+    return np.diag(_oracle_signs(inst, (part,)))
 
 
 def build_ancilla_oracle(inst: BipartiteInstance, part: int) -> np.ndarray:
@@ -160,7 +162,7 @@ def build_ancilla_oracle(inst: BipartiteInstance, part: int) -> np.ndarray:
     _check_part(part)
     dim = inst.dim
     half = inst.num_edges
-    flip = np.eye(2 * dim, dtype=np.complex128)
+    flip = np.eye(2 * dim)
     marked = 2 * np.flatnonzero(_oracle_signs(inst, (0, 1)) < 0)
     flip[marked, marked] = flip[marked + 1, marked + 1] = 0.0
     flip[marked, marked + 1] = flip[marked + 1, marked] = 1.0
@@ -192,4 +194,4 @@ def build_evolution(inst: BipartiteInstance, oracle) -> np.ndarray:
 
 def uniform_state(inst: BipartiteInstance) -> np.ndarray:
     """Unit-norm uniform superposition over all arcs."""
-    return np.full(inst.dim, 1.0 / np.sqrt(inst.dim), dtype=np.complex128)
+    return np.full(inst.dim, 1.0 / np.sqrt(inst.dim))

@@ -1,6 +1,7 @@
 import dataclasses
 import logging
 import math
+import tracemalloc
 
 import pytest
 
@@ -174,6 +175,24 @@ def test_run_sweep_skips_infeasible_points(caplog):
     assert sum(r.levelno == logging.DEBUG for r in caplog.records) == 5
 
 
+def test_run_sweep_without_feasible_points_raises(caplog):
+    # k0 = 5 exceeds n0 = 2 at every point: an error, not an empty success.
+    with caplog.at_level(logging.INFO, logger="qwcount.analysis"):
+        with pytest.raises(ValueError, match="sweep config has no feasible grid points"):
+            run_sweep(SweepConfig((2,), (2,), (5,), (0, 1, 2), (4,)))
+    assert [r.getMessage() for r in caplog.records] == ["skipped 3 infeasible grid points"]
+
+
+@pytest.mark.parametrize("key", ["n0", "n1", "k0", "k1", "p"])
+@pytest.mark.parametrize("empty", ["", ",", " , ,"], ids=["blank", "comma", "commas"])
+def test_parse_sweep_config_rejects_empty_value_list(key, empty):
+    values = {"n0": "2", "n1": "2", "k0": "1", "k1": "1", "p": "4"}
+    values[key] = empty
+    text = "".join(f"{name} = {value}\n" for name, value in values.items())
+    with pytest.raises(ValueError, match=f"^{key}: no values$"):
+        parse_sweep_config(text)
+
+
 @pytest.fixture
 def part_pushforwards(monkeypatch):
     """Count single-part pushforwards, whether analysis or full_count asks for them."""
@@ -280,3 +299,19 @@ def test_bound_masses_match_partial_count(fig2):
     dist = partial_count(5, fig2, 0)
     assert report.satisfied_mass == dist.mass_within(dist.bound)
     assert report.bound_value == dist.bound
+
+
+def test_verify_suite_peak_memory_on_largest_arc_space():
+    # K_{8,8} at p = 11: dimension 128 and a 128 x 2048 circuit state.  Real
+    # operators and a real circuit prefix peak near 10.0 MiB under
+    # tracemalloc; complex128 operators peaked at 11.9 MiB.
+    inst = BipartiteInstance.from_counts(8, 8, 3, 5)
+    verify_suite(inst, 11)  # warm-up, so one-time allocations are not counted
+    tracemalloc.start()
+    try:
+        report = verify_suite(inst, 11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.all_passed
+    assert peak < 11 * 2**20

@@ -229,6 +229,25 @@ def test_sweep_bad_config_exits_1(capsys, tmp_path):
     assert "invalid sweep config" in err
 
 
+def test_sweep_without_feasible_points_exits_1(capsys, tmp_path):
+    # k0 = 5 > n0 = 2 at every point: an error, not a bare header with exit 0.
+    config = tmp_path / "sweep.cfg"
+    config.write_text("n0 = 2\nn1 = 2\nk0 = 5\np = 4\n")
+    status, out, err = run_cli(capsys, "sweep", "--config", str(config))
+    assert status == 1
+    assert out == ""
+    assert err.splitlines()[-1] == "error: sweep config has no feasible grid points"
+
+
+def test_sweep_empty_value_list_exits_1(capsys, tmp_path):
+    config = tmp_path / "sweep.cfg"
+    config.write_text("n0 = ,\nn1 = 2\np = 4\n")
+    status, out, err = run_cli(capsys, "sweep", "--config", str(config))
+    assert status == 1
+    assert out == ""
+    assert err.strip() == "error: invalid sweep config: n0: no values"
+
+
 def test_sweep_missing_config_file_exits_1(capsys, tmp_path):
     status, _, _ = run_cli(capsys, "sweep", "--config", str(tmp_path / "missing.cfg"))
     assert status == 1

@@ -24,7 +24,7 @@ GOLDEN = {
         "b8ab23f44845786b4cfd6ef5f76e34cd77a62b229465e803c43cabc1ad084b29"),
     "distribution_circuit": (
         ["distribution", *FIG2, "--p", "5", "--engine", "circuit"],
-        "a8b846206abd185669a243d9e132e0c6bd34105a16b02057e8a5127288aa36d2"),
+        "2fb0be81da849a1596ae888dfaf6f94ced828ff52240b338007d5999a8494de5"),
     "count_exact_part0": (
         ["count", *FIG2, "--p", "6", "--part", "0", "--mode", "exact"],
         "e5b00a72b7151461593ad8e5085a5ad57d1bdfdbb823113409b79e771ffb48e3"),
@@ -56,7 +56,7 @@ GOLDEN = {
         "6569319b8895a5babaf405d209d1db7f8a3a3fc3654248122272fbea5ce844a7"),
     "verify": (
         ["verify", *FIG2, "--p", "5"],
-        "29524127f3cf9ae770f7124923b5023287e3d3085a89316524665ec00acf8b0d"),
+        "1172d32af38b64be506c44c2613ccde4d8df6101b7580121f3582fb5f2fd82cc"),
 }
 
 # The default k0 range 0..3 makes n0 = 2, k0 = 3 infeasible: skipped points

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qwcount import eigen_residual, mat_mul, unitarity_defect
+from qwcount.linalg import as_matrix, as_vector
 
 from conftest import rotation
 
@@ -76,3 +77,45 @@ def test_eigen_residual_rejects_zero_vector():
 def test_eigen_residual_dimension_mismatch():
     with pytest.raises(ValueError):
         eigen_residual(np.eye(2), 1.0, [1.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("entries, dtype", [
+    ([[1, 0], [0, 1]], np.float64),
+    (np.eye(2, dtype=np.int8), np.float64),
+    (np.eye(2, dtype=np.uint16), np.float64),
+    (np.eye(2, dtype=bool), np.float64),
+    (np.eye(2, dtype=np.float32), np.float64),
+    (np.eye(2), np.float64),
+    (np.eye(2, dtype=np.complex64), np.complex128),
+    ([[1j, 0], [0, 1]], np.complex128),
+])
+def test_as_matrix_keeps_real_input_real(entries, dtype):
+    m = as_matrix(entries)
+    assert m.dtype == dtype
+    assert np.array_equal(m, np.asarray(entries))
+    assert as_vector(np.asarray(entries)[0]).dtype == dtype
+
+
+def test_as_matrix_does_not_copy_float64_or_complex128():
+    real, cplx = np.eye(3), np.eye(3, dtype=np.complex128)
+    assert as_matrix(real) is real and as_matrix(cplx) is cplx
+
+
+@pytest.mark.parametrize("bad", [
+    [["a", "b"], ["c", "d"]],
+    [["1", "0"], ["0", "1"]],
+    np.array([[1.0, None], [0.0, 1.0]], dtype=object),
+    [[1.0, np.nan], [0.0, 1.0]],
+    [[1.0, np.inf], [0.0, 1.0]],
+    [[1.0, complex(0.0, -np.inf)], [0.0, 1.0]],
+    [1.0, 0.0],
+], ids=["strings", "numeric_strings", "object", "nan", "inf", "complex_inf", "rank1"])
+def test_as_matrix_rejects_nonnumeric_nonfinite_and_wrong_rank(bad):
+    with pytest.raises(ValueError):
+        as_matrix(bad)
+
+
+@pytest.mark.parametrize("bad", ["abc", [1.0, np.nan], [np.inf], [[1.0]]])
+def test_as_vector_rejects_nonnumeric_nonfinite_and_wrong_rank(bad):
+    with pytest.raises(ValueError):
+        as_vector(bad)

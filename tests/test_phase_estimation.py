@@ -208,6 +208,18 @@ def test_circuit_matches_per_bit_reference_on_walks(p):
         assert_matches_per_bit(build_evolution(inst, build_oracle(inst)), uniform_state(inst), p)
 
 
+@pytest.mark.parametrize("p", range(1, 9))
+def test_circuit_real_walk_matches_complex_cast(p):
+    # A real step runs the prefix in real arithmetic; the same step cast to
+    # complex128 runs it in complex arithmetic.  Both give the same masses.
+    for inst in iter_count_instances(4):
+        evolution, start = build_evolution(inst, build_oracle(inst)), uniform_state(inst)
+        assert evolution.dtype == start.dtype == np.float64
+        real = circuit_distribution(evolution, start, p).mass
+        cplx = circuit_distribution(evolution.astype(np.complex128), start.astype(np.complex128), p).mass
+        assert np.abs(real - cplx).max() <= 2e-15
+
+
 @pytest.mark.parametrize("d", [1, 2, 5, 17, 64])
 def test_circuit_matches_per_bit_reference_on_random_unitaries(d):
     rng = np.random.default_rng(500 + d)

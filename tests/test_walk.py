@@ -236,3 +236,24 @@ def test_uniform_state_values():
 @pytest.mark.parametrize("inst", INSTANCES + random_instances(5, 6, seed=11))
 def test_uniform_state_is_unit_norm(inst):
     assert abs(np.linalg.norm(uniform_state(inst)) - 1.0) < 1e-15
+
+
+@pytest.mark.parametrize("inst", INSTANCES, ids=lambda i: f"K{i.n0}{i.n1}_{i.k0}{i.k1}")
+def test_builders_return_float64(inst):
+    # Every entry is real, so every operator and the start state are real arrays.
+    arrays = {"shift": build_shift(inst), "coin": build_coin(inst), "oracle": build_oracle(inst),
+              "evolution": build_evolution(inst, build_oracle(inst)),
+              "uniform_state": uniform_state(inst)}
+    for j in (0, 1):
+        arrays[f"part_oracle_{j}"] = build_part_oracle(inst, j)
+        arrays[f"ancilla_oracle_{j}"] = build_ancilla_oracle(inst, j)
+        arrays[f"restricted_{j}"] = restrict_to_plus_ancilla(arrays[f"ancilla_oracle_{j}"])
+    assert {name: a.dtype for name, a in arrays.items()} == dict.fromkeys(arrays, np.float64)
+
+
+def test_evolution_with_complex_oracle_is_complex():
+    # dtype promotion alone decides: a complex oracle gives a complex step.
+    oracle = build_oracle(FIG2) * np.exp(0.25j)
+    evolution = build_evolution(FIG2, oracle)
+    assert evolution.dtype == np.complex128
+    assert np.abs(evolution - np.exp(0.25j) * build_evolution(FIG2, build_oracle(FIG2))).max() < 1e-15
