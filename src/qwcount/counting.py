@@ -333,7 +333,7 @@ def grover_mixture(n: int, k: int) -> EigenphaseMixture:
     if not 0 <= k <= n:
         raise ValueError(f"marked count {k} out of range for n={n}")
     theta = 2.0 * math.asin(math.sqrt(k / n))
-    return EigenphaseMixture(np.array([theta, -theta]), np.array([0.5, 0.5]))
+    return EigenphaseMixture.from_orbits([theta], [[0.5, 0.5]])
 
 
 def grover_count(p: int, n: int, k: int, mode: str = "exact",

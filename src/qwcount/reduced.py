@@ -267,16 +267,13 @@ def eigenphase_table(angles: WalkAngles) -> EigenphaseMixture:
     ``sin²(sigma/2)/4``, and symmetrically with ``mu`` and ``sigma`` swapped.
     Negative phases are reported mod 2π.  The weights agree with the
     eigenvector overlaps of :func:`spectral_decomposition` under the phase
-    identity ``-e^{i mu} = e^{-i(π-mu)}``.
+    identity ``-e^{i mu} = e^{-i(π-mu)}``.  The phases are the orbits of
+    ``mu`` and ``sigma``, one orbit when the two are equal (the part case).
     """
     mu, sigma = angles.mu, angles.sigma
     w_mu = math.cos(sigma / 2.0) ** 2 / 4.0
     w_pi_mu = math.sin(sigma / 2.0) ** 2 / 4.0
     w_sigma = math.cos(mu / 2.0) ** 2 / 4.0
     w_pi_sigma = math.sin(mu / 2.0) ** 2 / 4.0
-    phases = [
-        mu, -mu, math.pi - mu, -(math.pi - mu),
-        sigma, -sigma, math.pi - sigma, -(math.pi - sigma),
-    ]
-    weights = [w_mu, w_mu, w_pi_mu, w_pi_mu, w_sigma, w_sigma, w_pi_sigma, w_pi_sigma]
-    return EigenphaseMixture(np.array(phases), np.array(weights))
+    return EigenphaseMixture.from_orbits(
+        [mu, sigma], [[w_mu, w_mu, w_pi_mu, w_pi_mu], [w_sigma, w_sigma, w_pi_sigma, w_pi_sigma]])

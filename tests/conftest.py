@@ -110,3 +110,31 @@ def single_part_instance(inst: BipartiteInstance, part: int) -> BipartiteInstanc
     if part == 0:
         return replace(inst, marked1=frozenset())
     return replace(inst, marked0=frozenset())
+
+
+# Float reference for the kernel that qwcount.phase_estimation evaluates in
+# turns: the radian formula, with a tolerance around the removable
+# singularity because the rounded grid phase never quite meets the eigenphase.
+
+RADIAN_SINGULARITY_TOL = 1e-13
+
+
+def radian_kernel(theta, omega, grid_size: int):
+    """``sin²(PΔ/2) / (P² sin²(Δ/2))`` at ``Δ = theta − omega`` in radians, elementwise."""
+    delta = np.subtract(theta, omega) % (2 * math.pi)
+    singular = np.minimum(delta, 2 * math.pi - delta) < RADIAN_SINGULARITY_TOL
+    safe = np.where(singular, 1.0, delta)
+    numerator = np.square(np.sin(grid_size * safe / 2.0))
+    values = numerator / (grid_size**2 * np.square(np.sin(safe / 2.0)))
+    return np.where(singular, 1.0, np.minimum(values, 1.0))[()]
+
+
+def radian_masses(phases, weights, p: int) -> np.ndarray:
+    """Grid masses of a mixture, one radian kernel per weighted phase."""
+    size = 2**p
+    omegas = 2 * math.pi * np.arange(size) / size
+    mass = np.zeros(size)
+    for phase, weight in zip(phases, weights):
+        if weight > 0.0:
+            mass += weight * radian_kernel(phase, omegas, size)
+    return mass

@@ -21,29 +21,29 @@ GOLDEN = {
         "f9f6d9e3c1f0abbc6e239a7fafae289269fa3886e09ea56c8a710a9007ec06af"),
     "distribution_analytic": (
         ["distribution", *FIG2, "--p", "6", "--engine", "analytic"],
-        "b8ab23f44845786b4cfd6ef5f76e34cd77a62b229465e803c43cabc1ad084b29"),
+        "4102ef032c2e8e77b1c9c1ae2ed12d821b458547de9595e7626a9408e82d336f"),
     "distribution_circuit": (
         ["distribution", *FIG2, "--p", "5", "--engine", "circuit"],
         "2fb0be81da849a1596ae888dfaf6f94ced828ff52240b338007d5999a8494de5"),
     "count_exact_part0": (
         ["count", *FIG2, "--p", "6", "--part", "0", "--mode", "exact"],
-        "e5b00a72b7151461593ad8e5085a5ad57d1bdfdbb823113409b79e771ffb48e3"),
+        "007b8e8e09912ef2c21b41686d2422b671d26fbb8c505821c57a1cdec9ba4aad"),
     "count_exact_part1_json": (
         ["count", *FIG2, "--p", "6", "--part", "1", "--mode", "exact", "--format", "json"],
-        "fea0c8610313466a6151025636cfede4a2b0ddd124106f11aff5f86983cf37c1"),
+        "1933c20937669e5aa171d2dccc5b197bdef7cf58ceb49f8934f5efe9132b762d"),
     "count_exact_both": (
         ["count", *FIG2, "--p", "5", "--part", "both", "--mode", "exact"],
-        "4d151767466efb7e1cf446517b2ca496e358858680b2fc1e4daff30bc761f589"),
+        "151d7ac87a16d925ac3f2394e712041c3cb63b5826ec303f7cac425140f543e2"),
     "count_exact_both_json": (
         ["count", "--n0", "5", "--n1", "7", "--k0", "2", "--k1", "3", "--p", "4",
          "--part", "both", "--format", "json"],
-        "6a01088f27339209535c6ff14573c1da01a36ec6aa4e2c667b3653790711d762"),
+        "8485a43d6d0c965acc51bd07ad696d9959af1d25de3663d7ebc9e0a895f5bcee"),
     "count_exact_both_json_p7": (
         ["count", *FIG2, "--p", "7", "--part", "both", "--format", "json"],
-        "6eafb9fca16a14009dbe052ffcc472869f74ba852cbad9232ab99533408dc96f"),
+        "6d5a481609c13a9bfd72e81359fe959c904e653a8e0a1fd081019dbb1b664090"),
     "distribution_analytic_p12_part64": (
         ["distribution", "--n0", "64", "--n1", "64", "--k0", "13", "--k1", "29", "--p", "12"],
-        "d31c0fc5d4e1c97c2ac57e7ac9c3ecf91a85464855d1cb476f806008528efb1f"),
+        "c1bd1c1c7620e8d75d777ca5a8c9679543f9b6f5a15136ee93f5ff215b716bab"),
     "count_sampled_part0": (
         ["count", *FIG2, "--p", "6", "--part", "0", *SAMPLED],
         "e4c7874ee736967570d251bd84e39e6e876aa95173e5e01d97f453a0f47ce3ed"),
@@ -56,13 +56,13 @@ GOLDEN = {
         "6569319b8895a5babaf405d209d1db7f8a3a3fc3654248122272fbea5ce844a7"),
     "verify": (
         ["verify", *FIG2, "--p", "5"],
-        "1172d32af38b64be506c44c2613ccde4d8df6101b7580121f3582fb5f2fd82cc"),
+        "f50b2cd7386f1308e77e0988d97e688283cc955aad9e734a3b2f60df0db4c8db"),
 }
 
 # The default k0 range 0..3 makes n0 = 2, k0 = 3 infeasible: skipped points
 # are part of the golden run.
 SWEEP_CONFIG = "n0 = 2..3\nn1 = 2..3\nk1 = 0..1\np = 4,5\n"
-SWEEP_DIGEST = "f4d8cef9279d02a7ec0b68df9f69abd808279d2ec84b247fcef4512299571a04"
+SWEEP_DIGEST = "2339099630993a00babc923cd657bd353e9e0c8c8fded3fa2ca80e575cebff79"
 
 
 def _stdout_sha256(capsys, argv) -> str:

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,11 +24,14 @@ from qwcount import (
     total_variation,
     uniform_state,
 )
+import qwcount.phase_estimation as phase_estimation
 from qwcount.cli import main
+from qwcount.counting import grover_mixture
 from qwcount.errors import ResourceLimitError
 from qwcount.phase_estimation import MAX_ANALYTIC_QUBITS, MAX_CIRCUIT_QUBITS
+from qwcount.reduced import WalkAngles, part_angle
 
-from conftest import iter_count_instances, random_instances
+from conftest import iter_count_instances, radian_masses, random_instances
 
 TWO_PI = 2 * math.pi
 
@@ -137,6 +141,150 @@ def test_mixture_validation():
         EigenphaseMixture(np.array([0.0]), np.array([-0.5]))
     with pytest.raises(ValueError):
         EigenphaseMixture(np.array([]), np.array([]))
+
+
+# Every marked fraction k/n with n <= 8.  A mixture depends on (k, n) only
+# through the float 2k/n (or k/n for Grover search), which is the same for
+# equal fractions, so one representative per fraction covers every k.
+FRACTIONS_N8 = sorted({Fraction(k, n) for n in range(1, 9) for k in range(n + 1)})
+
+
+def _walk_mixtures():
+    """(name, mixture, orbit count) for the full case, the part case and Grover search."""
+    for f0 in FRACTIONS_N8:
+        for f1 in FRACTIONS_N8:
+            angles = WalkAngles.from_thetas(part_angle(f0.numerator, f0.denominator),
+                                            part_angle(f1.numerator, f1.denominator))
+            # theta1 = 0 is the part case: mu = sigma, one orbit.
+            yield f"walk {f0} {f1}", eigenphase_table(angles), 1 if f1 == 0 else 2
+    for f in FRACTIONS_N8:
+        yield f"grover {f}", grover_mixture(f.denominator, f.numerator), 1
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Grid sizes of the grid-length kernel evaluations made while the test runs."""
+    calls = []
+    grid_kernel = phase_estimation._grid_kernel
+
+    def counted(turn, grid_size):
+        calls.append(grid_size)
+        return grid_kernel(turn, grid_size)
+
+    monkeypatch.setattr(phase_estimation, "_grid_kernel", counted)
+    return calls
+
+
+@pytest.mark.parametrize("p", range(1, 13))
+def test_orbit_mixtures_give_bit_equal_mirror_outcomes(p, kernel_calls):
+    size = 2**p
+    mirror = (size - np.arange(size)) % size
+    for name, mixture, orbits in _walk_mixtures():
+        kernel_calls.clear()
+        mass = exact_distribution(mixture, p).mass
+        assert np.array_equal(mass, mass[mirror]), name
+        assert kernel_calls == [size] * orbits, name
+
+
+def test_lone_phases_are_one_orbit_each(kernel_calls):
+    phases = np.array([0.3, -0.3, math.pi - 0.3, 2.0])
+    mixture = EigenphaseMixture(phases, np.full(4, 0.25))
+    mass = exact_distribution(mixture, 6).mass
+    assert kernel_calls == [64] * 4
+    assert np.abs(mass - radian_masses(mixture.phases, mixture.weights, 6)).max() < 1e-14
+
+
+def test_orbit_members_take_their_own_weights(kernel_calls):
+    # Four different member weights, and a base listed twice (one orbit).
+    mixture = EigenphaseMixture.from_orbits(
+        [0.3, -1.1, 0.3], [[0.1, 0.05, 0.15, 0.02], [0.2, 0.03, 0.07, 0.13], [0.05, 0.1, 0.0, 0.1]])
+    for p in (1, 2, 7):
+        kernel_calls.clear()
+        mass = exact_distribution(mixture, p).mass
+        assert kernel_calls == [2**p] * 2
+        assert np.abs(mass - radian_masses(mixture.phases, mixture.weights, p)).max() < 1e-14
+
+
+def _random_mixture(rng):
+    count = int(rng.integers(1, 9))
+    weights = rng.random(count)
+    return rng.uniform(-TWO_PI, TWO_PI, count), weights / weights.sum()
+
+
+def _structured_mixtures(p):
+    size = 2**p
+    for inst in (FIG2, BipartiteInstance.from_counts(8, 8, 3, 5),
+                 BipartiteInstance.from_counts(64, 64, 13, 29)):
+        table = eigenphase_table(angles_from_instance(inst))
+        yield table.phases, table.weights
+    for n, k in ((4, 1), (7, 3), (8, 8)):
+        grover = grover_mixture(n, k)
+        yield grover.phases, grover.weights
+    # On the grid, a hair off it, mid-cell, and at 0 and π.
+    for phase in (TWO_PI * 3 / size, TWO_PI * 3 / size + 1e-15, TWO_PI * 2.5 / size,
+                  0.0, math.pi, -math.pi / 3):
+        yield np.array([phase]), np.array([1.0])
+
+
+@pytest.mark.parametrize("p", range(1, 15))
+def test_exact_distribution_matches_radian_reference(p):
+    # Both kernels carry the rounding of a float phase, which P multiplies:
+    # the radian one in PΔ/2, the turn one in P·t, each worth up to about
+    # P·eps in a mass.  Through p = 12 they agree within 1e-12 (7.8e-13 at
+    # worst over 300 random mixtures); at p = 13 and 14 they part by up to
+    # 1.1·P·eps, so there the bound is the sum of the two, 2·P·eps.
+    tolerance = 1e-12 if p <= 12 else 2**(p + 1) * np.finfo(float).eps
+    rng = np.random.default_rng(500 + p)
+    mixtures = [_random_mixture(rng) for _ in range(10)] + list(_structured_mixtures(p))
+    for phases, weights in mixtures:
+        mixture = EigenphaseMixture(phases, weights)
+        reference = radian_masses(mixture.phases, mixture.weights, p)
+        assert np.abs(exact_distribution(mixture, p).mass - reference).max() <= tolerance, phases
+
+
+# Largest error of the 40 heaviest analytic masses of K_{8,8}, (3, 5), by p,
+# measured against 50-digit sums at the float eigenphases (ROADMAP baseline).
+BASELINE_HEAVY_MASS_ERROR = {8: 1.0e-15, 12: 2.5e-14, 16: 1.6e-12, 20: 1.3e-11}
+
+
+def _mp_masses(mp, counts, p, indices):
+    """Masses at ``indices`` with 50 digits, from the eigenphases of the exact angles."""
+    (n0, k0), (n1, k1) = counts
+    theta0 = mp.acos(1 - mp.mpf(2 * k0) / n0)
+    theta1 = mp.acos(1 - mp.mpf(2 * k1) / n1)
+    mu, sigma = (theta0 + theta1) / 2, (theta0 - theta1) / 2
+    orbits = ((mu, mp.cos(sigma / 2) ** 2 / 4, mp.sin(sigma / 2) ** 2 / 4),
+              (sigma, mp.cos(mu / 2) ** 2 / 4, mp.sin(mu / 2) ** 2 / 4))
+    size = 2**p
+    masses = []
+    for m in indices:
+        total = mp.mpf(0)
+        for base, w_base, w_pi in orbits:
+            for phase, weight in ((base, w_base), (-base, w_base),
+                                  (mp.pi - base, w_pi), (base - mp.pi, w_pi)):
+                half = (phase - 2 * mp.pi * int(m) / size) / 2
+                if abs(mp.sin(half)) < mp.mpf(10) ** -40:
+                    total += weight
+                else:
+                    total += weight * mp.sin(size * half) ** 2 / (size * mp.sin(half)) ** 2
+        masses.append(total)
+    return masses
+
+
+# K_{8,8} with (3, 5) marked, and the off-grid part of the flagship K_{4,3}
+# instance (one of three marked in part 1; its part 0 sits on the grid).
+@pytest.mark.parametrize("counts", [((8, 3), (8, 5)), ((3, 1), (1, 0))])
+def test_heavy_masses_match_exact_eigenphases(counts):
+    mp = pytest.importorskip("mpmath")
+    (n0, k0), (n1, k1) = counts
+    angles = WalkAngles.from_thetas(part_angle(k0, n0), part_angle(k1, n1))
+    for p, bound in BASELINE_HEAVY_MASS_ERROR.items():
+        mass = exact_distribution(eigenphase_table(angles), p).mass
+        heavy = np.argsort(mass)[-40:]
+        with mp.workdps(50):
+            exact = _mp_masses(mp, counts, p, heavy)
+            error = max(abs(mp.mpf(float(mass[m])) - value) for m, value in zip(heavy, exact))
+        assert error <= bound, (p, float(error))
 
 
 def test_phase_distribution_validation():
