@@ -23,7 +23,11 @@ Two independent engines compute the same distribution over the phase grid
   register values hold distinct states, and bit ``e`` fills values
   ``2^e..2^{e+1}-1`` with ``u^{2^e}`` times that prefix.  That is the state
   a per-bit gather and scatter builds, for ``(P-1)·d²`` row work and
-  ``p-1`` squarings instead of ``p·(P/2)·d²`` and ``p``.
+  ``p-1`` squarings instead of ``p·(P/2)·d²`` and ``p``.  A real walk from
+  a real start keeps a real state throughout: the register transform is
+  then a real-input FFT of outcomes ``0..P/2``, with no complex copy of the
+  state, and the rest follow exactly from the Hermitian mirror
+  ``mass[P − m] = mass[m]``.
 
 Sampling is a pure function of (distribution, seed, n) backed by NumPy's
 PCG64 generator; there is no hidden global RNG state.
@@ -51,7 +55,6 @@ __all__ = [
     "circuit_distribution",
     "sample",
     "total_variation",
-    "grid_neighbor_indices",
     "good_estimate_mass",
 ]
 
@@ -77,10 +80,6 @@ _UNITARITY_TOL = 1e-8
 
 _WEIGHT_CLAMP = 1e-14
 _MASS_CLAMP = 1e-14
-
-
-def _mod_two_pi(x: float) -> float:
-    return float(np.asarray(x) % TWO_PI)
 
 
 @dataclass(frozen=True)
@@ -272,8 +271,15 @@ def circuit_distribution(u, psi, p: int) -> PhaseDistribution:
     and ``p-1`` squarings.  The state takes the promoted dtype of ``u`` and
     ``psi``, so for a real walk and a real start the squarings and the prefix
     doubling run in real arithmetic; a complex operand makes them complex.
-    The inverse Fourier transform on the register follows, always in
-    complex128, and the marginal is ``|·|²`` summed over the system axis.
+
+    The register Fourier transform follows the state's dtype too.  A complex
+    state takes the full FFT and the marginal ``|·|²`` summed over the
+    system axis.  A real state takes a real-input FFT, ``P/2 + 1`` outcomes
+    per row with no complex copy of the state; the marginal of outcomes
+    ``0..P/2`` is ``re² + im²`` summed over the system axis and divided by
+    ``P`` (exact, a power of two), and outcomes ``P/2+1..P−1`` copy the
+    Hermitian mirror ``mass[P − m] = mass[m]``, so mirror masses are
+    bit-equal.
 
     Raises
     ------
@@ -306,12 +312,20 @@ def circuit_distribution(u, psi, p: int) -> PhaseDistribution:
         if e:
             power = power @ power
         state[:, half:2 * half] = power @ state[:, :half]
-    # Inverse Fourier transform on the register index.  Rebinding drops a
-    # real prefix buffer before the transform allocates its output.
-    state = state.astype(np.complex128, copy=False)
-    state = np.fft.fft(state, axis=1)
-    state /= math.sqrt(n)
-    return PhaseDistribution(p, (np.abs(state) ** 2).sum(axis=0))
+    # Inverse Fourier transform on the register index.
+    if np.iscomplexobj(state):
+        state = np.fft.fft(state, axis=1)
+        state /= math.sqrt(n)
+        return PhaseDistribution(p, (np.abs(state) ** 2).sum(axis=0))
+    # Squaring through a float view works in place on the transform.
+    squares = np.fft.rfft(state, axis=1).view(np.float64)
+    np.square(squares, out=squares)
+    column = squares.sum(axis=0)
+    mid = n // 2
+    mass = np.empty(n)
+    mass[:mid + 1] = (column[0::2] + column[1::2]) / n
+    mass[mid + 1:] = mass[mid - 1:0:-1]
+    return PhaseDistribution(p, mass)
 
 
 def sample(dist: PhaseDistribution, seed: int, n: int) -> np.ndarray:
@@ -332,10 +346,10 @@ def total_variation(a: PhaseDistribution, b: PhaseDistribution) -> float:
     return float(0.5 * np.abs(a.mass - b.mass).sum())
 
 
-def grid_neighbor_indices(theta: float, p: int) -> tuple[int, ...]:
+def _grid_neighbor_indices(theta: float, p: int) -> tuple[int, ...]:
     """Indices of the grid phases that round ``theta`` down and up (equal on-grid)."""
     n = 2**p
-    position = _mod_two_pi(theta) * n / TWO_PI
+    position = float(np.asarray(theta) % TWO_PI) * n / TWO_PI
     lo = int(math.floor(position)) % n
     hi = int(math.ceil(position)) % n
     return (lo,) if lo == hi else (lo, hi)
@@ -348,5 +362,5 @@ def good_estimate_mass(theta: float, p: int) -> float:
     when ``theta`` lies on the grid.
     """
     n = 2**p
-    neighbors = np.array(grid_neighbor_indices(theta, p))
+    neighbors = np.array(_grid_neighbor_indices(theta, p))
     return float(fourier_kernel(theta, TWO_PI * neighbors / n, n).sum())

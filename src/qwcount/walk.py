@@ -175,21 +175,29 @@ def build_ancilla_oracle(inst: BipartiteInstance, part: int) -> np.ndarray:
 def restrict_to_plus_ancilla(m) -> np.ndarray:
     """Compress a doubled-space operator to the ancilla ``|+⟩`` sector.
 
-    Returns the arc-space matrix with entries ``(⟨a|⊗⟨+|) M (|b⟩⊗|+⟩)``.
+    Returns the arc-space matrix with entries ``(⟨a|⊗⟨+|) M (|b⟩⊗|+⟩)``,
+    half the sum of the 2x2 ancilla block of arcs ``a, b``.  The four
+    entries come from four strided views and add pairwise, ``(00 + 01) +
+    (10 + 11)``: four elementwise passes over ``d²`` entries, with no
+    reduction over a strided axis.
     """
     mm = as_matrix(m)
     if mm.shape[0] != mm.shape[1] or mm.shape[0] % 2 != 0:
         raise ValueError(f"expected a square even-dimensional matrix, got {mm.shape}")
-    d = mm.shape[0] // 2
-    return 0.5 * mm.reshape(d, 2, d, 2).sum(axis=(1, 3))
+    return 0.5 * ((mm[0::2, 0::2] + mm[0::2, 1::2]) + (mm[1::2, 0::2] + mm[1::2, 1::2]))
 
 
 def build_evolution(inst: BipartiteInstance, oracle) -> np.ndarray:
-    """One search step: apply ``oracle`` first, then coin, then shift."""
+    """One search step: apply ``oracle`` first, then coin, then shift.
+
+    The shift swaps the two halves of the arc space, so ``shift @ coin`` is
+    the coin with its row halves swapped, exactly; the step is that matrix
+    times ``oracle``, one dense product instead of two.
+    """
     om = as_matrix(oracle)
     if om.shape != (inst.dim, inst.dim):
         raise ValueError(f"oracle shape {om.shape} does not match arc dimension {inst.dim}")
-    return build_shift(inst) @ build_coin(inst) @ om
+    return np.roll(build_coin(inst), inst.num_edges, axis=0) @ om
 
 
 def uniform_state(inst: BipartiteInstance) -> np.ndarray:

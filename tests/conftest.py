@@ -4,7 +4,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import pytest
 
-from qwcount import BipartiteInstance
+from qwcount import BipartiteInstance, build_coin, build_shift
 
 
 @pytest.fixture
@@ -110,6 +110,22 @@ def single_part_instance(inst: BipartiteInstance, part: int) -> BipartiteInstanc
     if part == 0:
         return replace(inst, marked1=frozenset())
     return replace(inst, marked0=frozenset())
+
+
+# Literal references for the arc-space builders that qwcount.walk computes
+# without the dense work: the step as two full products, and the ancilla
+# restriction as a reduction over the strided ancilla axes.
+
+
+def literal_evolution(inst: BipartiteInstance, oracle) -> np.ndarray:
+    """One search step as written: ``shift @ coin @ oracle``."""
+    return build_shift(inst) @ build_coin(inst) @ oracle
+
+
+def literal_plus_restriction(m) -> np.ndarray:
+    """``(⟨a|⊗⟨+|) M (|b⟩⊗|+⟩)`` as half the sum over both ancilla axes."""
+    d = m.shape[0] // 2
+    return 0.5 * m.reshape(d, 2, d, 2).sum(axis=(1, 3))
 
 
 # Float reference for the kernel that qwcount.phase_estimation evaluates in

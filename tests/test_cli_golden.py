@@ -24,7 +24,7 @@ GOLDEN = {
         "4102ef032c2e8e77b1c9c1ae2ed12d821b458547de9595e7626a9408e82d336f"),
     "distribution_circuit": (
         ["distribution", *FIG2, "--p", "5", "--engine", "circuit"],
-        "2fb0be81da849a1596ae888dfaf6f94ced828ff52240b338007d5999a8494de5"),
+        "07a24f7537fa876e7413f5a533a7892791baee05a1cedf6c864904210be4df11"),
     "count_exact_part0": (
         ["count", *FIG2, "--p", "6", "--part", "0", "--mode", "exact"],
         "007b8e8e09912ef2c21b41686d2422b671d26fbb8c505821c57a1cdec9ba4aad"),
@@ -56,7 +56,7 @@ GOLDEN = {
         "6569319b8895a5babaf405d209d1db7f8a3a3fc3654248122272fbea5ce844a7"),
     "verify": (
         ["verify", *FIG2, "--p", "5"],
-        "f50b2cd7386f1308e77e0988d97e688283cc955aad9e734a3b2f60df0db4c8db"),
+        "21b1698d78bf532608190a2094a91bf9a390d08c5f2d6d1e67c87f5de613f578"),
 }
 
 # The default k0 range 0..3 makes n0 = 2, k0 = 3 infeasible: skipped points

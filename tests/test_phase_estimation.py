@@ -36,6 +36,7 @@ from conftest import iter_count_instances, radian_masses, random_instances
 TWO_PI = 2 * math.pi
 
 FIG2 = BipartiteInstance(4, 3, frozenset({1, 3}), frozenset({1}))
+K88 = BipartiteInstance.from_counts(8, 8, 3, 5)
 
 # Mid-cell kernel value at P = 8, evaluated directly: 1 / (64 sin^2(pi/16)).
 MIDPOINT_KERNEL_P8 = 0.4105334745170029
@@ -356,11 +357,13 @@ def test_circuit_matches_per_bit_reference_on_walks(p):
         assert_matches_per_bit(build_evolution(inst, build_oracle(inst)), uniform_state(inst), p)
 
 
-@pytest.mark.parametrize("p", range(1, 9))
+@pytest.mark.parametrize("p", [*range(1, 9), MAX_CIRCUIT_QUBITS])
 def test_circuit_real_walk_matches_complex_cast(p):
-    # A real step runs the prefix in real arithmetic; the same step cast to
-    # complex128 runs it in complex arithmetic.  Both give the same masses.
-    for inst in iter_count_instances(4):
+    # A real step runs the prefix in real arithmetic and the register
+    # transform as a real-input FFT with mirrored outcomes; the same step
+    # cast to complex128 runs both in complex arithmetic, with the full FFT.
+    instances = iter_count_instances(4) if p < MAX_CIRCUIT_QUBITS else [K88]
+    for inst in instances:
         evolution, start = build_evolution(inst, build_oracle(inst)), uniform_state(inst)
         assert evolution.dtype == start.dtype == np.float64
         real = circuit_distribution(evolution, start, p).mass
@@ -368,17 +371,31 @@ def test_circuit_real_walk_matches_complex_cast(p):
         assert np.abs(real - cplx).max() <= 2e-15
 
 
+@pytest.mark.parametrize("p", [1, 2, 5, MAX_CIRCUIT_QUBITS])
+def test_circuit_real_walk_has_bit_equal_mirror_masses(p):
+    # Outcomes P/2+1..P-1 are copies of 1..P/2-1; at p = 1 there are none.
+    for inst in [*iter_count_instances(3), K88]:
+        mass = circuit_distribution(build_evolution(inst, build_oracle(inst)),
+                                    uniform_state(inst), p).mass
+        assert mass.shape == (2**p,)
+        assert np.array_equal(mass[1:], mass[:0:-1])
+
+
 @pytest.mark.parametrize("d", [1, 2, 5, 17, 64])
 def test_circuit_matches_per_bit_reference_on_random_unitaries(d):
+    # Each p takes a complex unitary and a real orthogonal matrix, so both
+    # register transforms run from p = 1 (P = 2) up.
     rng = np.random.default_rng(500 + d)
     for p in range(1, 11):
         assert_matches_per_bit(*random_unitary_and_state(rng, d), p)
+        orthogonal, _ = np.linalg.qr(rng.normal(size=(d, d)))
+        psi = rng.normal(size=d)
+        assert_matches_per_bit(orthogonal, psi / np.linalg.norm(psi), p)
 
 
 def test_circuit_matches_per_bit_reference_at_largest_register():
-    inst = BipartiteInstance.from_counts(8, 8, 3, 5)
-    assert inst.dim == 128
-    assert_matches_per_bit(build_evolution(inst, build_oracle(inst)), uniform_state(inst),
+    assert K88.dim == 128
+    assert_matches_per_bit(build_evolution(K88, build_oracle(K88)), uniform_state(K88),
                            MAX_CIRCUIT_QUBITS)
 
 

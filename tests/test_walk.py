@@ -16,7 +16,15 @@ from qwcount import (
     unitarity_defect,
 )
 
-from conftest import ArcIndex, arc_to_flat, flat_to_arc, iter_count_instances, random_instances
+from conftest import (
+    ArcIndex,
+    arc_to_flat,
+    flat_to_arc,
+    iter_count_instances,
+    literal_evolution,
+    literal_plus_restriction,
+    random_instances,
+)
 
 FIG2 = BipartiteInstance(4, 3, frozenset({1, 3}), frozenset({1}))
 K11 = BipartiteInstance(1, 1)
@@ -208,6 +216,46 @@ def test_ancilla_returns_to_plus(part):
         out = (doubled @ state).reshape(FIG2.dim, 2)
         plus_component = out @ plus
         assert abs(np.linalg.norm(plus_component) - 1.0) < 1e-12
+
+
+def assert_bit_equal(actual, expected):
+    """Equal dtype, values and zero signs, and equal ``float.hex`` on a sample."""
+    assert actual.dtype == expected.dtype
+    assert np.array_equal(actual, expected)
+    assert np.array_equal(np.signbit(actual), np.signbit(expected))
+    sample = np.linspace(0, actual.size - 1, 61).astype(int)
+    assert ([float(x).hex() for x in actual.ravel()[sample]]
+            == [float(x).hex() for x in expected.ravel()[sample]])
+
+
+def corrupt_oracle(inst):
+    """The oracle ``verify --corrupt-oracle`` passes: one arc's sign flipped."""
+    oracle = build_oracle(inst)
+    oracle[0, 0] = -oracle[0, 0]
+    return oracle
+
+
+def test_evolution_is_bit_equal_to_literal_product():
+    rng = np.random.default_rng(31)
+    for inst in list(iter_count_instances(5)) + random_instances(30, 8, seed=32):
+        oracles = [build_oracle(inst), build_part_oracle(inst, 0), build_part_oracle(inst, 1),
+                   corrupt_oracle(inst), rng.normal(size=(inst.dim, inst.dim))]
+        for oracle in oracles:
+            assert_bit_equal(build_evolution(inst, oracle), literal_evolution(inst, oracle))
+
+
+def test_restriction_is_bit_equal_to_literal_sum():
+    for inst in list(iter_count_instances(5)) + random_instances(30, 8, seed=33):
+        for part in (0, 1):
+            doubled = build_ancilla_oracle(inst, part)
+            assert_bit_equal(restrict_to_plus_ancilla(doubled), literal_plus_restriction(doubled))
+    # From d = 2 up numpy adds the four ancilla entries pairwise, as the
+    # strided form does; at d = 1 (no arc space is that small) it adds them
+    # in another order.
+    rng = np.random.default_rng(34)
+    for size in (4, 6, 48, 256):
+        dense = rng.normal(size=(size, size))
+        assert_bit_equal(restrict_to_plus_ancilla(dense), literal_plus_restriction(dense))
 
 
 def test_evolution_k11_is_swap():
