@@ -7,11 +7,11 @@ Commands: ``spectrum`` (angles and eigenphase weights), ``distribution``
 suite on one instance).
 
 Each command returns its table as blocks of columns: a numpy array, a list,
-or one scalar repeated on every row.  :func:`emit` is the one writer for
-every command: it formats each column once and writes each block before
-it takes the next.  The exact ``count --part both`` table, ``4^p`` rows, is
-generated in blocks of at most ``_BLOCK_ROWS`` rows and never held whole;
-it is limited to :data:`MAX_JOINT_ROWS` rows (``p <= 10``).
+or one scalar repeated on every row.  :func:`emit`, the one writer for every
+command, formats each distinct value of a numeric column once and writes
+each block before it takes the next.  The exact ``count --part both`` table,
+``4^p`` rows, comes in blocks of at most ``_BLOCK_ROWS`` rows, is never held
+whole, and is limited to :data:`MAX_JOINT_ROWS` rows (``p <= 10``).
 
 Exit codes: 0 success, 1 invalid input or I/O failure, 2 verification or
 threshold failure.  Floating values are printed with 17 significant digits
@@ -152,7 +152,7 @@ def _instance_from_args(args) -> BipartiteInstance:
         raise UsageError(str(exc))
 
 
-def _format_scalar(value, as_json: bool = False) -> str:
+def _format_scalar(value, as_json: bool) -> str:
     """One CSV cell, or one JSON value when ``as_json``: None and strings differ."""
     if value is None:
         return "null" if as_json else ""
@@ -172,65 +172,69 @@ def _csv_field(text: str) -> str:
     return buffer.getvalue()[:-2]
 
 
-class _Cells(list):
-    """A column already formatted: one cell string per row, the same in CSV and JSON."""
+def _cells(column, as_json: bool):
+    """A column's cells as a list of strings, or one string for a scalar column.
 
-
-def _slot(column, as_json: bool = False):
-    """One column as ``(template slot, values)``; a scalar is formatted into its slot.
-
-    Float arrays take ``'%.17g'`` and integer arrays ``'%d'``, over
-    ``.tolist()``: the bytes ``_format_scalar`` gives one value at a time.
-    Other lists go through ``_format_scalar`` cell by cell.
+    A numeric array is deduplicated on its bits (``0.0`` and ``-0.0`` stay
+    apart); each distinct value is formatted once, as ``_format_scalar`` would.
     """
-    if isinstance(column, _Cells):
-        return "%s", column
+    if isinstance(column, np.ndarray) and column.dtype.kind in "fiu":
+        bits, inverse = np.unique(column.view(f"u{column.itemsize}"), return_inverse=True)
+        template = "%.17g" if column.dtype.kind == "f" else "%d"
+        distinct = np.array(list(map(template.__mod__, bits.view(column.dtype).tolist())),
+                            dtype=object)
+        return distinct[inverse].tolist()
     if isinstance(column, np.ndarray):
-        if column.dtype.kind == "f":
-            return "%.17g", column.tolist()
-        if column.dtype.kind in "iu":
-            return "%d", column.tolist()
         column = column.tolist()
     if isinstance(column, (list, tuple)):
-        return "%s", [_format_scalar(value, as_json) for value in column]
-    return _format_scalar(column, as_json).replace("%", "%%"), None
-
-
-def _formatted(column) -> _Cells:
-    """A numeric column formatted once, for blocks that repeat it."""
-    slot, values = _slot(column)
-    return _Cells(map(slot.__mod__, values))
+        return [_format_scalar(value, as_json) for value in column]
+    return _format_scalar(column, as_json)
 
 
 def _write_table(handle, blocks, fieldnames, as_json: bool) -> None:
+    heads = [""] + [", " if as_json else ","] * (len(fieldnames) - 1)
     if as_json:
-        keys = [json.dumps(name).replace("%", "%%") + ": " for name in fieldnames]
+        heads = [head + json.dumps(name) + ": " for head, name in zip(heads, fieldnames)]
+        heads[0], end, row_gap, lead = "  {" + heads[0], "}", ",\n", "[\n"
     else:
         handle.write(",".join(_csv_field(name) for name in fieldnames) + "\n")
-    separator = "[\n"
+        end, row_gap, lead = "\n", "", ""
     for block in blocks:
-        slots, columns = zip(*(_slot(block[name], as_json) for name in fieldnames))
-        columns = [values for values in columns if values is not None]
-        if as_json:
-            template = "  {" + ", ".join(map(str.__add__, keys, slots)) + "}"
-            rows = [template % row for row in zip(*columns, strict=True)]
-            if rows:
-                handle.write(separator + ",\n".join(rows))
-                separator = ",\n"
-        else:
-            template = ",".join(slots) + "\n"
-            handle.write("".join([template % row for row in zip(*columns, strict=True)]))
+        # A row is constant text around its varying cells: texts[j] precedes columns[j].
+        texts, columns = [""], []
+        for head, name in zip(heads, fieldnames):
+            cells = _cells(block[name], as_json)
+            texts[-1] += head
+            if isinstance(cells, str):
+                texts[-1] += cells
+            else:
+                columns.append(cells)
+                texts.append("")
+        if not columns:
+            continue
+        texts[-1] += end
+        rows = [None] * 2 * len(columns)
+        rows[1::2] = texts[1:]
+        rows[-1] += row_gap + texts[0]
+        rows *= len(columns[0])
+        for offset, cells in enumerate(columns):
+            rows[2 * offset::2 * len(columns)] = cells  # a ragged column raises ValueError
+        if rows:
+            rows[-1] = texts[-1]
+            handle.write(lead + texts[0])
+            handle.write("".join(rows))
+            lead = row_gap
     if as_json:
-        handle.write("[]\n" if separator == "[\n" else "\n]\n")
+        handle.write("[]\n" if lead == "[\n" else "\n]\n")
 
 
 def emit(blocks, fieldnames, output_format: str, destination: str | None) -> None:
     """Write a table as CSV (fixed header) or JSON (array of objects), block by block.
 
     Each block maps every field name to a column: a numpy array, a list, or
-    one scalar repeated on every row.  The array and list columns of a block
-    have one length, its row count.  Blocks may come from a generator, so a
-    large table is never held whole.
+    one scalar repeated on every row, all of one length within a block.  A
+    numeric array has each distinct value formatted once.  Blocks may come
+    from a generator, so a large table is never held whole.
     """
     as_json = output_format == "json"
     if destination in (None, "-"):
@@ -291,24 +295,20 @@ def _check_joint_rows(p: int) -> None:
 
 
 def _joint_blocks(joint):
-    """The ``P²`` rows of the joint table, whole runs of part-0 indices per block.
-
-    Per-part cells are formatted once and repeated; only the pair sums and
-    products are new in each block.
-    """
+    """The ``P²`` rows of the joint table, whole runs of part-0 indices per block."""
     k0, m0 = joint.part0.k_est, joint.part0.mass
     k1, m1 = joint.part1.k_est, joint.part1.mass
     size = k1.size
-    index_cells, k0_cells, k1_cells = map(_formatted, (np.arange(size), k0, k1))
+    index = np.arange(size)
     step = max(1, _BLOCK_ROWS // size)
     for start in range(0, size, step):
         stop = min(start + step, size)
         yield {
             "p": joint.p,
-            "omega_index_0": _Cells([c for c in index_cells[start:stop] for _ in range(size)]),
-            "omega_index_1": _Cells(index_cells * (stop - start)),
-            "k_est_0": _Cells([c for c in k0_cells[start:stop] for _ in range(size)]),
-            "k_est_1": _Cells(k1_cells * (stop - start)),
+            "omega_index_0": np.repeat(index[start:stop], size),
+            "omega_index_1": np.tile(index, stop - start),
+            "k_est_0": np.repeat(k0[start:stop], size),
+            "k_est_1": np.tile(k1, stop - start),
             "k_est": np.add.outer(k0[start:stop], k1).ravel(),
             "mass": np.multiply.outer(m0[start:stop], m1).ravel(),
             "bound": joint.bound,
@@ -320,6 +320,8 @@ def _cmd_count(args):
     inst = _instance_from_args(args)
     if args.trials < 1:
         raise UsageError(f"--trials must be at least 1, got {args.trials}")
+    if args.trials > MAX_JOINT_ROWS:  # one estimate object per trial
+        raise ResourceLimitError(f"--trials limited to {MAX_JOINT_ROWS}, got {args.trials}")
     part = None if args.part == "both" else int(args.part)
     if args.mode == "sampled":
         seed = args.seed if args.seed is not None else _generate_seed()

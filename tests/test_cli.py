@@ -10,8 +10,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from qwcount import cli
 from qwcount.analysis import MAX_SWEEP_POINTS, load_sweep_config, run_sweep, verify_suite
 from qwcount.cli import (
+    _BLOCK_ROWS,
     DISTRIBUTION_FIELDS,
     MAX_JOINT_ROWS,
     PART_COUNT_FIELDS,
@@ -544,6 +546,36 @@ def test_emitter_empty_table(capsys, fmt):
     assert ref_render([], CRAFTED_FIELDS, "json") == "[]\n"
 
 
+def _bit_distinct_blocks():
+    # Equal-comparing values with different bits (0.0 / -0.0, NaNs of both
+    # signs and several payloads), repeats, and the same values in later blocks.
+    f64 = np.array([0, 1 << 63, 1 << 63, 0, 0x7FF0 << 48, 0xFFF0 << 48, 0x7FF0 << 48,
+                    0x3FF8 << 48, 0x3FF8 << 48, 0xBFF8 << 48, 0x7FF8 << 48, 0xFFF8 << 48,
+                    0x7FF0000000000001, 0xFFF00000DEADBEEF, 0x7FF8 << 48], dtype=np.uint64)
+    f32 = np.array([0, 1 << 31, 1 << 31, 0, 0x7F800000, 0xFF800000, 0x7F800000, 0x3FC00000,
+                    0x3FC00000, 0xBFC00000, 0x7FC00000, 0xFFC00000, 0x7F800001, 0xFFC0BEEF,
+                    0x7FC00000], dtype=np.uint32)
+    widths = (np.int8, np.uint8, np.int16, np.uint16, np.int32, np.uint32, np.int64, np.uint64)
+    blocks = []
+    for order in (slice(None), slice(None, None, -1), slice(1, None, 3)):
+        block = {"f64": f64.view(np.float64)[order], "f32": f32.view(np.float32)[order],
+                 "constant": -0.0}
+        for width in widths:
+            info = np.iinfo(width)
+            column = np.array([info.min, info.max, 0, 1, info.max] * 3, dtype=width)
+            block[width.__name__] = column[order]
+        blocks.append(block)
+    return blocks
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_emitter_dedups_on_bits_not_values(capsys, fmt):
+    blocks = _bit_distinct_blocks()
+    fieldnames = tuple(blocks[0])
+    emit(blocks, fieldnames, fmt, None)
+    assert capsys.readouterr().out == ref_render(_rows_of(blocks, fieldnames), fieldnames, fmt)
+
+
 def test_emitter_rejects_ragged_columns(capsys):
     with pytest.raises(ValueError):
         emit([{"a": [1, 2], "b": np.arange(3)}], ("a", "b"), "csv", None)
@@ -593,6 +625,40 @@ def test_joint_table_guard_admits_p10_and_spares_sampled_mode(capsys):
     assert len(out.splitlines()) == 4
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_joint_table_matches_row_reference_across_block_edges(capsys, fmt):
+    # k/n off the estimate grid, so k_est and mass vary across the whole table.
+    argv = ["count", "--n0", "37", "--n1", "50", "--k0", "13", "--k1", "29", "--p", "8",
+            "--part", "both", "--format", fmt]
+    assert 4**8 >= 16 * _BLOCK_ROWS
+    rows, fieldnames = ref_rows(build_parser().parse_args(argv))
+    assert len(rows) == 4**8
+    assert main(argv) == 0
+    assert capsys.readouterr().out == ref_render(rows, fieldnames, fmt)
+
+
+@pytest.mark.parametrize("trials", [MAX_JOINT_ROWS + 1, 10**12])
+@pytest.mark.parametrize("part", ["0", "both"])
+def test_cli_sampled_trials_guard_exits_1_before_drawing(capsys, monkeypatch, trials, part):
+    def no_draws(*_):
+        raise AssertionError("the draw loop ran")
+
+    monkeypatch.setattr(cli, "_trial_seed", no_draws)
+    argv = ["count", *FIG2_ARGS, "--p", "4", "--part", part, "--mode", "sampled",
+            "--trials", str(trials), "--seed", "1"]
+    tracemalloc.start()
+    try:
+        status = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert status == 1
+    assert captured.out == ""
+    assert f"--trials limited to {MAX_JOINT_ROWS}, got {trials}" in captured.err
+    assert peak < 2**20
+
+
 def _joint_table_peak(p, target):
     tracemalloc.start()
     try:
@@ -608,9 +674,9 @@ def _joint_table_peak(p, target):
 
 def test_joint_table_memory_does_not_grow_with_rows(tmp_path):
     # Streamed in fixed-size blocks, the 16x larger table at p = 10 costs only
-    # the per-part arrays and cells: about 1.7 MiB at p = 8 and 2.0 MiB at
-    # p = 10 when measured (64-bit CPython 3.11); one P^2 table held whole would
-    # be over 100 MiB.
+    # the per-part arrays and one block's cells: about 1.9 MiB at p = 8 and
+    # 2.1 MiB at p = 10 when measured (64-bit CPython 3.11, numpy 2.4); one P^2
+    # table held whole would be over 100 MiB.
     small = _joint_table_peak(8, tmp_path / "p8.csv")
     large = _joint_table_peak(10, tmp_path / "p10.csv")
     assert large - small < 2**19
