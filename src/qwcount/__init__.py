@@ -27,7 +27,6 @@ from .reduced import (
     reduce_operator,
     reduced_uniform_state,
     spectral_decomposition,
-    transfer_block,
 )
 from .phase_estimation import (
     GOOD_ESTIMATE_PROBABILITY,

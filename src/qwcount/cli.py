@@ -16,7 +16,8 @@ whole, and is limited to :data:`MAX_JOINT_ROWS` rows (``p <= 10``).
 Exit codes: 0 success, 1 invalid input or I/O failure, 2 verification or
 threshold failure.  Floating values are printed with 17 significant digits
 and identical inputs produce identical output bytes.  Sampled runs without
-``--seed`` generate one, report it on stderr, and embed it in every row.
+``--seed`` generate one, report it on stderr, and embed it in every row;
+they place all trials with one ``grid_indices`` search per part.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .analysis import (
 )
 from .counting import full_count, partial_count
 from .errors import ResourceLimitError
-from .phase_estimation import exact_distribution, circuit_distribution
+from .phase_estimation import exact_distribution, circuit_distribution, grid_indices
 from .reduced import EIGENPHASE_LABELS, angles_from_instance, eigenphase_table
 from .walk import BipartiteInstance, build_oracle, build_evolution, uniform_state
 
@@ -320,8 +321,10 @@ def _cmd_count(args):
     inst = _instance_from_args(args)
     if args.trials < 1:
         raise UsageError(f"--trials must be at least 1, got {args.trials}")
-    if args.trials > MAX_JOINT_ROWS:  # one estimate object per trial
+    if args.trials > MAX_JOINT_ROWS:  # one generator per trial
         raise ResourceLimitError(f"--trials limited to {MAX_JOINT_ROWS}, got {args.trials}")
+    if args.seed is not None and args.seed < 0:
+        raise UsageError(f"--seed must be nonnegative, got {args.seed}")
     part = None if args.part == "both" else int(args.part)
     if args.mode == "sampled":
         seed = args.seed if args.seed is not None else _generate_seed()
@@ -333,18 +336,21 @@ def _cmd_count(args):
             return _joint_blocks(dist), TOTAL_COUNT_FIELDS, 0
         return [_part_columns(dist)], PART_COUNT_FIELDS, 0
 
-    # One pushforward per run; trial t draws with its own derived generator.
-    draws = [dist.draw(np.random.default_rng(_trial_seed(seed, trial)))
-             for trial in range(args.trials)]
-    columns = {"trial": np.arange(args.trials), "p": dist.p,
-               "k_est": np.array([d.k_est for d in draws]),
-               "k_rounded": np.array([d.k_rounded for d in draws]),
+    # One pushforward per run.  Trial t takes its uniforms (part 0 first) from
+    # its own derived generator, as a draw would.
+    parts = (dist,) if part is not None else (dist.part0, dist.part1)
+    uniforms = np.array([np.random.default_rng(_trial_seed(seed, trial)).random(len(parts))
+                         for trial in range(args.trials)])
+    picks = [grid_indices(d.cumulative, uniforms[:, j]) for j, d in enumerate(parts)]
+    k_parts = [d.k_est[pick] for d, pick in zip(parts, picks)]
+    k_est = k_parts[0] if part is not None else k_parts[0] + k_parts[1]
+    columns = {"trial": np.arange(args.trials), "p": dist.p, "k_est": k_est,
+               "k_rounded": np.rint(k_est).astype(np.int64),
                "bound": dist.bound, "oracle_queries": dist.oracle_queries, "seed": seed}
     if part is None:
-        columns["k_est_0"] = np.array([d.part0.k_est for d in draws])
-        columns["k_est_1"] = np.array([d.part1.k_est for d in draws])
+        columns.update(k_est_0=k_parts[0], k_est_1=k_parts[1])
         return [columns], SAMPLED_TOTAL_FIELDS, 0
-    columns.update(part=part, theta_est=np.array([d.theta_est for d in draws]))
+    columns.update(part=part, theta_est=dist.theta_est[picks[0]])
     return [columns], SAMPLED_PART_FIELDS, 0
 
 

@@ -13,7 +13,7 @@ probability masses instead of statistical claims.
 
 A pushforward is held as read-only float64 arrays indexed by grid index
 (``omega``, ``theta_est``, ``k_est``, ``mass``); a sampled run pushes the
-distribution forward once and draws grid indices from it.
+distribution forward once and draws grid indices from its ``cumulative`` mass.
 
 Counting a single part runs the walk whose oracle marks only that part, so
 its distribution depends on ``(n_j, k_j, p)`` alone; the other part's size
@@ -30,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .phase_estimation import TWO_PI, EigenphaseMixture, exact_distribution
+from .phase_estimation import TWO_PI, EigenphaseMixture, exact_distribution, grid_indices
 from .reduced import WalkAngles, eigenphase_table, part_angle
 from .walk import BipartiteInstance, _check_part
 
@@ -161,7 +161,8 @@ class CountDistribution:
         return float(self.mass[np.abs(self.k_est - float(self.k_true)) <= radius].sum())
 
     @cached_property
-    def _cumulative(self) -> np.ndarray:
+    def cumulative(self) -> np.ndarray:
+        """Cumulative mass by grid index, computed once per distribution."""
         return np.cumsum(self.mass)
 
     def draw(self, rng: np.random.Generator) -> CountEstimate:
@@ -169,8 +170,7 @@ class CountDistribution:
 
         The estimate carries no seed; callers that own the seed attach it.
         """
-        index = min(int(np.searchsorted(self._cumulative, rng.random(), side="right")),
-                    self.mass.size - 1)
+        index = grid_indices(self.cumulative, rng.random())
         k_est = float(self.k_est[index])
         return CountEstimate(
             k_est=k_est,
@@ -333,7 +333,7 @@ def grover_mixture(n: int, k: int) -> EigenphaseMixture:
     if not 0 <= k <= n:
         raise ValueError(f"marked count {k} out of range for n={n}")
     theta = 2.0 * math.asin(math.sqrt(k / n))
-    return EigenphaseMixture.from_orbits([theta], [[0.5, 0.5]])
+    return EigenphaseMixture([theta], [[0.5, 0.5]])
 
 
 def grover_count(p: int, n: int, k: int, mode: str = "exact",

@@ -4,7 +4,7 @@ Two independent engines compute the same distribution over the phase grid
 ``Ω_P = {2πm/P : 0 ≤ m < P}`` with ``P = 2^p``:
 
 * :func:`exact_distribution` mixes the squared Fourier-vector overlap kernel
-  ``sin²(PΔ/2) / (P² sin²(Δ/2))`` over a weighted list of eigenphases.  (A
+  ``sin²(PΔ/2) / (P² sin²(Δ/2))`` over weighted eigenphase orbits.  (A
   common textbook rendering of this kernel drops the factor 1/2 inside the
   sines; that variant does not sum to one over the grid.  The normalized form
   used here is what the Fourier vectors ``|F_P(ω)⟩ = P^{-1/2} Σ_j e^{iωj}|j⟩``
@@ -30,7 +30,8 @@ Two independent engines compute the same distribution over the phase grid
   ``mass[P − m] = mass[m]``.
 
 Sampling is a pure function of (distribution, seed, n) backed by NumPy's
-PCG64 generator; there is no hidden global RNG state.
+PCG64 generator; there is no hidden global RNG state.  Every sampler of the
+package places its uniforms on the grid with :func:`grid_indices`.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ __all__ = [
     "fourier_kernel",
     "exact_distribution",
     "circuit_distribution",
+    "grid_indices",
     "sample",
     "total_variation",
     "good_estimate_mass",
@@ -84,58 +86,46 @@ _MASS_CLAMP = 1e-14
 
 @dataclass(frozen=True)
 class EigenphaseMixture:
-    """Weighted eigenphases; weights must be nonnegative and sum to one.
+    """Weighted eigenphase orbits ``φ, −φ, π − φ, −(π − φ)`` of base phases φ (radians).
 
-    The constructor makes each phase an orbit of its own for the kernel;
-    :meth:`from_orbits` lists the members of a few whole orbits.
+    Row ``j`` of ``orbit_weights`` weighs the first 1 to 4 members of the
+    orbit of ``bases[j]``, in that order, all rows of one width (a phase
+    given alone is a row of width 1); weights are nonnegative and sum to one.
+    Equal bases share one orbit.  :attr:`phases` (mod 2π) and :attr:`weights`
+    list the members row by row, as read-only flat arrays.
     """
 
-    phases: np.ndarray
-    weights: np.ndarray
-    _turns: np.ndarray = field(init=False, repr=False, compare=False)
+    bases: np.ndarray
+    orbit_weights: np.ndarray
+    phases: np.ndarray = field(init=False)
+    weights: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        # Turns are taken before the reduction mod 2π, which would round
-        # a small negative phase to a float near 2π.
-        given = np.asarray(self.phases, dtype=np.float64)
-        turns, phases = given / TWO_PI, given % TWO_PI
-        weights = np.asarray(self.weights, dtype=np.float64)
-        if phases.ndim != 1 or phases.shape != weights.shape or phases.size == 0:
-            raise ValueError("phases and weights must be equal-length nonempty 1-d arrays")
-        if weights.min() < -_WEIGHT_CLAMP:
-            raise ValueError(f"negative mixture weight: {weights.min()}")
-        weights = np.clip(weights, 0.0, None)
-        if abs(weights.sum() - 1.0) > 1e-12:
-            raise ValueError(f"mixture weights sum to {weights.sum()}, expected 1")
-        phases.setflags(write=False)
-        weights.setflags(write=False)
-        object.__setattr__(self, "phases", phases)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "_turns", turns)
-
-    @classmethod
-    def from_orbits(cls, bases, weights) -> "EigenphaseMixture":
-        """Mixture over the orbits ``φ, −φ, π − φ, −(π − φ)`` of base phases φ.
-
-        ``bases`` are radians; row ``j`` of ``weights`` weighs the first
-        ``len(weights[j])`` members of the orbit of ``bases[j]``, in that
-        order (every row the same length), and :attr:`phases`/:attr:`weights`
-        list those members row by row.  Equal bases share one orbit.
-        """
-        phases = [member for base, row in zip(bases, weights)
-                  for member in (base, -base, math.pi - base, -(math.pi - base))[:len(row)]]
-        mixture = cls(np.array(phases), np.ravel(weights))
-        object.__setattr__(mixture, "_turns", np.asarray(bases, dtype=np.float64) / TWO_PI)
-        return mixture
+        bases = np.array(self.bases, dtype=np.float64)
+        rows = np.asarray(self.orbit_weights, dtype=np.float64)
+        if bases.ndim != 1 or rows.ndim != 2 or rows.shape[0] != bases.size:
+            raise ValueError(f"need one row of orbit weights per base, got {rows.shape} for {bases.size} bases")
+        if not 1 <= rows.shape[1] <= 4:
+            raise ValueError(f"an orbit row weighs 1 to 4 members, got {rows.shape[1]}")
+        if rows.size and rows.min() < -_WEIGHT_CLAMP:
+            raise ValueError(f"negative mixture weight: {rows.min()}")
+        rows = np.clip(rows, 0.0, None)
+        if abs(rows.sum() - 1.0) > 1e-12:
+            raise ValueError(f"mixture weights sum to {rows.sum()}, expected 1")
+        phases = np.array([member for base in bases.tolist() for member in
+                           (base, -base, math.pi - base, -(math.pi - base))[:rows.shape[1]]]) % TWO_PI
+        for name, values in (("bases", bases), ("orbit_weights", rows),
+                             ("phases", phases), ("weights", rows.ravel())):
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
 
     def _orbits(self):
         """Pairs of a base phase ``t`` in turns and the weights of its members
         ``t, −t, 1/2 − t, t − 1/2``; equal bases merge and weightless orbits
-        drop out."""
-        width = self.weights.size // self._turns.size
+        drop out.  Turns come from the bases, not the phases: reduction mod
+        2π would round a small negative phase to a float near 2π."""
         orbits: dict[float, list[float]] = {}
-        rows = self.weights.reshape(-1, width).tolist()
-        for turn, row in zip(self._turns.tolist(), rows):
+        for turn, row in zip((self.bases / TWO_PI).tolist(), self.orbit_weights.tolist()):
             members = orbits.setdefault(turn, [0.0] * 4)
             for member, weight in enumerate(row):
                 members[member] += weight
@@ -328,15 +318,19 @@ def circuit_distribution(u, psi, p: int) -> PhaseDistribution:
     return PhaseDistribution(p, mass)
 
 
+def grid_indices(cumulative: np.ndarray, uniforms):
+    """Grid indices of ``uniforms`` in [0, 1): each is the first index whose
+    ``cumulative`` mass exceeds it, capped at the last (rounding can leave the
+    total below a uniform).  Elementwise on a scalar or an array."""
+    return np.minimum(np.searchsorted(cumulative, uniforms, side="right"), cumulative.size - 1)
+
+
 def sample(dist: PhaseDistribution, seed: int, n: int) -> np.ndarray:
     """Draw ``n`` grid phases (radians); identical arguments give identical output."""
     if n < 1:
         raise ValueError(f"sample count must be at least 1, got {n}")
-    rng = np.random.default_rng(seed)
-    cumulative = np.cumsum(dist.mass)
-    indices = np.searchsorted(cumulative, rng.random(n), side="right")
-    indices = np.minimum(indices, dist.n_points - 1)
-    return dist.omegas()[indices]
+    uniforms = np.random.default_rng(seed).random(n)
+    return dist.omegas()[grid_indices(np.cumsum(dist.mass), uniforms)]
 
 
 def total_variation(a: PhaseDistribution, b: PhaseDistribution) -> float:

@@ -40,7 +40,6 @@ __all__ = [
     "part_angle",
     "angles_from_instance",
     "invariant_basis",
-    "transfer_block",
     "build_reduced_evolution",
     "reduce_operator",
     "reduced_uniform_state",
@@ -139,7 +138,7 @@ def invariant_basis(inst: BipartiteInstance) -> InvariantBasis:
     return InvariantBasis(BASIS_LABELS, tuple(vectors))
 
 
-def transfer_block(x: float) -> np.ndarray:
+def _transfer_block(x: float) -> np.ndarray:
     """The 4x4 block mapping one direction sector to the other in one step."""
     c, s = math.cos(x), math.sin(x)
     return np.array([
@@ -153,8 +152,8 @@ def transfer_block(x: float) -> np.ndarray:
 def build_reduced_evolution(angles: WalkAngles) -> np.ndarray:
     """The search step on the invariant subspace: off-diagonal transfer blocks."""
     reduced = np.zeros((8, 8))
-    reduced[:4, 4:] = transfer_block(angles.theta0)
-    reduced[4:, :4] = transfer_block(angles.theta1)
+    reduced[:4, 4:] = _transfer_block(angles.theta0)
+    reduced[4:, :4] = _transfer_block(angles.theta1)
     return reduced
 
 
@@ -275,5 +274,5 @@ def eigenphase_table(angles: WalkAngles) -> EigenphaseMixture:
     w_pi_mu = math.sin(sigma / 2.0) ** 2 / 4.0
     w_sigma = math.cos(mu / 2.0) ** 2 / 4.0
     w_pi_sigma = math.sin(mu / 2.0) ** 2 / 4.0
-    return EigenphaseMixture.from_orbits(
+    return EigenphaseMixture(
         [mu, sigma], [[w_mu, w_mu, w_pi_mu, w_pi_mu], [w_sigma, w_sigma, w_pi_sigma, w_pi_sigma]])

@@ -170,6 +170,15 @@ def test_count_sampled_trials_validation(capsys):
     assert status == 1
 
 
+@pytest.mark.parametrize("seed", ["-1", str(-2**70)])
+def test_count_sampled_rejects_negative_seed(capsys, seed):
+    status, out, err = run_cli(capsys, "count", *FIG2_ARGS, "--p", "4",
+                               "--mode", "sampled", "--seed", seed)
+    assert status == 1
+    assert out == ""
+    assert "--seed" in err
+
+
 def test_verify_passes_on_default_register(capsys):
     status, out, _ = run_cli(capsys, "verify", *FIG2_ARGS)
     assert status == 0
@@ -623,6 +632,34 @@ def test_joint_table_guard_admits_p10_and_spares_sampled_mode(capsys):
                              "--trials", "3", "--seed", "5")
     assert status == 0
     assert len(out.splitlines()) == 4
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("part", ["0", "1", "both"])
+def test_sampled_trials_match_per_trial_draws(capsys, part, fmt):
+    # k/n off the estimate grid; the run draws all trials at once, the
+    # reference one CountDistribution.draw per trial.
+    argv = ["count", "--n0", "37", "--n1", "50", "--k0", "13", "--k1", "29", "--p", "9",
+            "--part", part, "--mode", "sampled", "--trials", "3000", "--seed", "11",
+            "--format", fmt]
+    rows, fieldnames = ref_rows(build_parser().parse_args(argv))
+    assert len({row["k_est"] for row in rows}) > 20
+    assert main(argv) == 0
+    assert capsys.readouterr().out == ref_render(rows, fieldnames, fmt)
+
+
+@pytest.mark.parametrize("part", ["0", "both"])
+def test_sampled_run_accumulates_each_part_once(monkeypatch, part):
+    # The command alone, not the writer: np.unique calls np.cumsum too.
+    args = build_parser().parse_args(["count", *FIG2_ARGS, "--p", "6", "--part", part,
+                                      "--mode", "sampled", "--trials", "200", "--seed", "3"])
+    calls = []
+    cumsum = np.cumsum
+    monkeypatch.setattr(np, "cumsum", lambda *args, **kwargs: calls.append(1) or cumsum(*args, **kwargs))
+    [columns], _, status = cli._cmd_count(args)
+    assert status == 0
+    assert columns["k_est"].size == 200
+    assert len(calls) == (2 if part == "both" else 1)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

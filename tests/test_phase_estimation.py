@@ -122,7 +122,7 @@ def test_good_estimate_mass_midpoint():
 
 
 def test_exact_distribution_point_mass():
-    mixture = EigenphaseMixture(np.array([TWO_PI * 3 / 16]), np.array([1.0]))
+    mixture = EigenphaseMixture([TWO_PI * 3 / 16], [[1.0]])
     dist = exact_distribution(mixture, 4)
     assert dist.mass[3] == pytest.approx(1.0, abs=1e-12)
     assert dist.mass.sum() == pytest.approx(1.0, abs=1e-12)
@@ -130,18 +130,59 @@ def test_exact_distribution_point_mass():
 
 def test_exact_distribution_symmetric_mixture():
     theta = 0.9
-    mixture = EigenphaseMixture(np.array([theta, TWO_PI - theta]), np.array([0.5, 0.5]))
+    mixture = EigenphaseMixture([theta, TWO_PI - theta], [[0.5], [0.5]])
     mass = exact_distribution(mixture, 5).mass
     assert np.abs(mass[1:] - mass[1:][::-1]).max() < 1e-14
 
 
 def test_mixture_validation():
+    # Each case breaks one rule; where a sum is not the rule broken, it is 1.
+    cases = [
+        ("one row of orbit weights per base", [0.1, 0.2], [[0.5, 0.5]]),
+        ("one row of orbit weights per base", [0.1], [[0.5], [0.5]]),
+        ("one row of orbit weights per base", [0.1], [0.5, 0.5]),
+        ("1 to 4 members", [0.1], np.zeros((1, 0))),
+        ("1 to 4 members", [0.1], [[0.2] * 5]),
+        ("negative mixture weight", [0.1, 0.2], [[0.5, 0.7], [-0.2, 0.0]]),
+        ("sum to", [0.1, 0.2], [[0.5, 0.5], [0.5, 0.5]]),
+        ("sum to", [0.1], [[0.25, 0.25, 0.25]]),
+        ("sum to", [], np.zeros((0, 2))),
+    ]
+    for message, bases, weights in cases:
+        with pytest.raises(ValueError, match=message):
+            EigenphaseMixture(bases, weights)
+    # Ragged rows are rejected, and the accepted edge cases build.
     with pytest.raises(ValueError):
-        EigenphaseMixture(np.array([0.0, 1.0]), np.array([0.7, 0.7]))
-    with pytest.raises(ValueError):
-        EigenphaseMixture(np.array([0.0]), np.array([-0.5]))
-    with pytest.raises(ValueError):
-        EigenphaseMixture(np.array([]), np.array([]))
+        EigenphaseMixture([0.1, 0.2], [[0.5], [0.25, 0.25]])
+    assert EigenphaseMixture([0.1], [[0.25] * 4]).phases.size == 4
+    assert EigenphaseMixture([0.1], [[1.0 + 1e-13, -1e-14]]).weights.min() == 0.0
+
+
+def test_orbit_tables_keep_their_flat_phases_and_weights():
+    # phases/weights list the orbit members row by row, bit-equal to the
+    # members written out one by one and reduced mod 2π.
+    def members(base, width):
+        return [base, -base, math.pi - base, -(math.pi - base)][:width]
+
+    fractions = [*FRACTIONS_N8, Fraction(13, 64), Fraction(29, 64)]
+    for f0 in fractions:
+        for f1 in fractions:
+            angles = WalkAngles.from_thetas(part_angle(f0.numerator, f0.denominator),
+                                            part_angle(f1.numerator, f1.denominator))
+            mu, sigma = angles.mu, angles.sigma
+            w_mu, w_pi_mu = math.cos(sigma / 2.0) ** 2 / 4.0, math.sin(sigma / 2.0) ** 2 / 4.0
+            w_sigma, w_pi_sigma = math.cos(mu / 2.0) ** 2 / 4.0, math.sin(mu / 2.0) ** 2 / 4.0
+            table = eigenphase_table(angles)
+            assert np.array_equal(table.phases, np.array(members(mu, 4) + members(sigma, 4)) % TWO_PI)
+            assert np.array_equal(table.weights, [w_mu, w_mu, w_pi_mu, w_pi_mu,
+                                                  w_sigma, w_sigma, w_pi_sigma, w_pi_sigma])
+    for f in fractions:
+        grover = grover_mixture(f.denominator, f.numerator)
+        theta = 2.0 * math.asin(math.sqrt(f.numerator / f.denominator))
+        assert np.array_equal(grover.phases, np.array(members(theta, 2)) % TWO_PI)
+        assert np.array_equal(grover.weights, [0.5, 0.5])
+    for array in (table.phases, table.weights, grover.phases, grover.weights):
+        assert not array.flags.writeable
 
 
 # Every marked fraction k/n with n <= 8.  A mixture depends on (k, n) only
@@ -189,7 +230,7 @@ def test_orbit_mixtures_give_bit_equal_mirror_outcomes(p, kernel_calls):
 
 def test_lone_phases_are_one_orbit_each(kernel_calls):
     phases = np.array([0.3, -0.3, math.pi - 0.3, 2.0])
-    mixture = EigenphaseMixture(phases, np.full(4, 0.25))
+    mixture = EigenphaseMixture(phases, np.full((4, 1), 0.25))
     mass = exact_distribution(mixture, 6).mass
     assert kernel_calls == [64] * 4
     assert np.abs(mass - radian_masses(mixture.phases, mixture.weights, 6)).max() < 1e-14
@@ -197,7 +238,7 @@ def test_lone_phases_are_one_orbit_each(kernel_calls):
 
 def test_orbit_members_take_their_own_weights(kernel_calls):
     # Four different member weights, and a base listed twice (one orbit).
-    mixture = EigenphaseMixture.from_orbits(
+    mixture = EigenphaseMixture(
         [0.3, -1.1, 0.3], [[0.1, 0.05, 0.15, 0.02], [0.2, 0.03, 0.07, 0.13], [0.05, 0.1, 0.0, 0.1]])
     for p in (1, 2, 7):
         kernel_calls.clear()
@@ -238,7 +279,7 @@ def test_exact_distribution_matches_radian_reference(p):
     rng = np.random.default_rng(500 + p)
     mixtures = [_random_mixture(rng) for _ in range(10)] + list(_structured_mixtures(p))
     for phases, weights in mixtures:
-        mixture = EigenphaseMixture(phases, weights)
+        mixture = EigenphaseMixture(phases, weights[:, None])
         reference = radian_masses(mixture.phases, mixture.weights, p)
         assert np.abs(exact_distribution(mixture, p).mass - reference).max() <= tolerance, phases
 
@@ -453,13 +494,12 @@ def test_cli_analytic_oversize_register_exits_1(capsys, p):
 
 
 def test_analytic_accepts_largest_register():
-    dist = exact_distribution(EigenphaseMixture(np.array([0.3]), np.array([1.0])),
-                              MAX_ANALYTIC_QUBITS)
+    dist = exact_distribution(EigenphaseMixture([0.3], [[1.0]]), MAX_ANALYTIC_QUBITS)
     assert dist.n_points == 2**MAX_ANALYTIC_QUBITS
 
 
 def test_sample_point_mass():
-    mixture = EigenphaseMixture(np.array([TWO_PI * 5 / 16]), np.array([1.0]))
+    mixture = EigenphaseMixture([TWO_PI * 5 / 16], [[1.0]])
     dist = exact_distribution(mixture, 4)
     draws = sample(dist, seed=1, n=50)
     assert np.abs(draws - TWO_PI * 5 / 16).max() < 1e-12

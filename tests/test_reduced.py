@@ -21,7 +21,6 @@ from qwcount import (
     uniform_state,
     unitarity_defect,
 )
-from qwcount.reduced import transfer_block
 
 from conftest import ArcIndex, arc_to_flat, iter_count_instances, random_instances
 
@@ -297,14 +296,13 @@ def test_eigenphase_table_consistent_with_overlaps(angles):
 
 @pytest.mark.parametrize("inst", [FIG2] + list(iter_count_instances(3)))
 def test_reduced_model_is_real(inst):
-    # Basis vectors, transfer blocks, the reduced step, its start state and
-    # the projected arc-space step are float64; only the eigenvectors are complex.
+    # Basis vectors, the reduced step (both transfer blocks), its start state
+    # and the projected arc-space step are float64; only the eigenvectors are complex.
     angles = angles_from_instance(inst)
     basis = invariant_basis(inst)
     projected, _ = reduce_operator(build_evolution(inst, build_oracle(inst)), basis)
     arrays = [v for v in basis.vectors if v is not None] + [
-        basis.matrix(), transfer_block(angles.theta0), transfer_block(angles.theta1),
-        build_reduced_evolution(angles), reduced_uniform_state(angles), projected]
+        basis.matrix(), build_reduced_evolution(angles), reduced_uniform_state(angles), projected]
     assert all(a.dtype == np.float64 for a in arrays)
     records = spectral_decomposition(angles).records
     assert all(r.eigenvector.dtype == np.complex128 for r in records)
