@@ -18,7 +18,7 @@ from typing import ClassVar
 import numpy as np
 
 from .counting import CountDistribution, FullCountDistribution, full_count, partial_count
-from .linalg import as_matrix, eigen_residual, unitarity_defect
+from .linalg import _identity_distance, as_matrix, eigen_residual, unitarity_defect
 from .phase_estimation import (
     GOOD_ESTIMATE_PROBABILITY,
     circuit_distribution,
@@ -36,9 +36,9 @@ from .reduced import (
 from .errors import ResourceLimitError
 from .walk import (
     BipartiteInstance,
+    _step_from_coin,
     build_ancilla_oracle,
     build_coin,
-    build_evolution,
     build_oracle,
     build_part_oracle,
     build_shift,
@@ -360,7 +360,7 @@ def verify_suite(inst: BipartiteInstance, p: int, *,
     oracle_matrix = build_oracle(inst) if oracle is None else as_matrix(oracle)
     part_oracles = {j: build_part_oracle(inst, j) for j in (0, 1)}
     ancilla_oracles = {j: build_ancilla_oracle(inst, j) for j in (0, 1)}
-    evolution = build_evolution(inst, oracle_matrix)
+    evolution = _step_from_coin(inst, coin, oracle_matrix)
 
     check_max("unitarity_shift", unitarity_defect(shift), _STRUCTURAL_TOL)
     check_max("unitarity_coin", unitarity_defect(coin), _STRUCTURAL_TOL)
@@ -370,10 +370,9 @@ def verify_suite(inst: BipartiteInstance, p: int, *,
         check_max(f"unitarity_ancilla_oracle_{j}", unitarity_defect(ancilla_oracles[j]), _STRUCTURAL_TOL)
     check_max("unitarity_evolution", unitarity_defect(evolution), _STRUCTURAL_TOL)
 
-    identity = np.eye(inst.dim)
-    check_max("involution_shift", np.abs(shift @ shift - identity).max(), _IDENTITY_TOL)
-    check_max("involution_coin", np.abs(coin @ coin - identity).max(), _IDENTITY_TOL)
-    check_max("involution_oracle", np.abs(oracle_matrix @ oracle_matrix - identity).max(), _IDENTITY_TOL)
+    check_max("involution_shift", _identity_distance(shift @ shift), _IDENTITY_TOL)
+    check_max("involution_coin", _identity_distance(coin @ coin), _IDENTITY_TOL)
+    check_max("involution_oracle", _identity_distance(oracle_matrix @ oracle_matrix), _IDENTITY_TOL)
     check_max("part_oracle_product",
               np.abs(part_oracles[0] @ part_oracles[1] - oracle_matrix).max(), _IDENTITY_TOL)
     for j in (0, 1):
@@ -396,7 +395,7 @@ def verify_suite(inst: BipartiteInstance, p: int, *,
     check_max("eigen_residual_max", residual, _RESIDUAL_TOL)
     eigenvectors = np.column_stack([r.eigenvector for r in decomposition.records])
     check_max("eigenvector_gram_defect",
-              np.abs(eigenvectors.conj().T @ eigenvectors - np.eye(8)).max(), _RESIDUAL_TOL)
+              _identity_distance(eigenvectors.conj().T @ eigenvectors), _RESIDUAL_TOL)
 
     cos_mu, cos_sigma = np.cos(angles.mu), np.cos(angles.sigma)
     closed_forms = np.array([

@@ -125,7 +125,7 @@ class FullCountEstimate:
     part1: CountEstimate
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CountDistribution:
     """Exact pushforward distribution of a single estimation run.
 
@@ -199,7 +199,7 @@ def _edge(k0: np.ndarray, k1_sorted: np.ndarray, guess: np.ndarray, holds) -> np
         edge = edge + up - down
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FullCountDistribution:
     """Product distribution of the two independent single-part runs."""
 

@@ -10,6 +10,15 @@ hundred at most), so storage is dense throughout and there is no sparse or
 arbitrary-precision path.  No general-purpose eigensolver is used anywhere:
 eigenpairs come from closed forms and are checked with
 :func:`eigen_residual`.
+
+Distances from the identity are taken on a fresh product in place: 1 is
+subtracted from its diagonal and, for real input, ``abs`` overwrites it, so
+no identity matrix or temporary is allocated.  :func:`unitarity_defect`
+skips the Gram product altogether for a signed permutation (one nonzero per
+row and column, each exactly ±1), the shape of the shift, the oracles and
+the ancilla oracles: every Gram entry of such a matrix is at most one
+``±1·±1`` product plus exact zeros, so the dense product would be exactly
+the identity and its defect exactly 0.0.
 """
 
 from __future__ import annotations
@@ -66,17 +75,53 @@ def mat_mul(a, b) -> np.ndarray:
     return am @ bm
 
 
+def _identity_distance(product: np.ndarray) -> float:
+    """``max |product − I|`` for a fresh square product, which it overwrites."""
+    product.flat[::product.shape[0] + 1] -= 1
+    if product.dtype.kind == "c":
+        return float(np.abs(product).max())
+    return float(np.abs(product, out=product).max())
+
+
+def _gram_defect(am: np.ndarray) -> float:
+    """``max |a† a − I|`` from the dense Gram product."""
+    return _identity_distance(am.conj().T @ am)
+
+
+def _is_signed_permutation(am: np.ndarray) -> bool:
+    """Whether the square ``am`` has one nonzero per row and per column, each exactly ±1.
+
+    With ``n`` nonzeros in all, a ±1 first nonzero in every row leaves one
+    per row, and distinct columns for those leave one per column.
+    """
+    n = am.shape[0]
+    nonzero = am != 0
+    if np.count_nonzero(nonzero) != n:
+        return False
+    cols = nonzero.argmax(axis=1)
+    values = am[np.arange(n), cols]
+    if not np.all((values == 1) | (values == -1)):
+        return False
+    return np.count_nonzero(np.bincount(cols, minlength=n)) == n
+
+
 def unitarity_defect(a) -> float:
     """Maximum entrywise deviation of ``a† a`` from the identity.
 
     Zero for exactly unitary matrices; values below 1e-10 are treated as
-    unitary throughout the package.
+    unitary throughout the package.  A signed permutation (one nonzero per
+    row and per column, each exactly ±1, real or ±1+0j) returns 0.0 without
+    forming the Gram: each Gram entry is one ``±1·±1`` product or none,
+    plus exact zeros, so the dense product is exactly the identity in
+    floating point and 0.0 is the value it would give.  Every other matrix
+    takes the dense Gram.
     """
     am = as_matrix(a)
     if am.shape[0] != am.shape[1]:
         raise ValueError(f"unitarity requires a square matrix, got {am.shape}")
-    gram = am.conj().T @ am
-    return float(np.abs(gram - np.eye(am.shape[0])).max())
+    if _is_signed_permutation(am):
+        return 0.0
+    return _gram_defect(am)
 
 
 def eigen_residual(a, eigenvalue: complex, v) -> float:

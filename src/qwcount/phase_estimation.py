@@ -84,7 +84,7 @@ _WEIGHT_CLAMP = 1e-14
 _MASS_CLAMP = 1e-14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenphaseMixture:
     """Weighted eigenphase orbits ``φ, −φ, π − φ, −(π − φ)`` of base phases φ (radians).
 
@@ -132,7 +132,7 @@ class EigenphaseMixture:
         return [(turn, members) for turn, members in orbits.items() if any(members)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhaseDistribution:
     """Probability mass on the P-point phase grid of a p-qubit register."""
 

@@ -93,7 +93,7 @@ def angles_from_instance(inst: BipartiteInstance) -> WalkAngles:
     return WalkAngles.from_thetas(part_angle(inst.k0, inst.n0), part_angle(inst.k1, inst.n1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InvariantBasis:
     """Arc-space vectors of the eight invariant classes, absent ones as None."""
 
@@ -189,7 +189,7 @@ def reduced_uniform_state(angles: WalkAngles) -> np.ndarray:
     return coefficients / math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenRecord:
     """One closed-form eigenpair with its overlap against the uniform state."""
 
@@ -200,7 +200,7 @@ class EigenRecord:
     initial_overlap: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
     """The eight closed-form eigenpairs of the reduced search step."""
 

@@ -158,18 +158,21 @@ def build_ancilla_oracle(inst: BipartiteInstance, part: int) -> np.ndarray:
     ``|1⟩`` component on arcs with direction bit ``part``.  With the ancilla
     prepared in ``|+⟩`` this reproduces :func:`build_part_oracle` and returns
     the ancilla to ``|+⟩``.
+
+    The matrix is block-diagonal with one 2x2 block per arc: the identity
+    if the arc's tail is unmarked (the two phase flips cancel), ``X`` if it
+    is marked, and ``−X`` if it is marked and the arc's direction is
+    ``part``.  Its ``2·d`` nonzeros are written into one zero-filled array.
     """
     _check_part(part)
-    dim = inst.dim
-    half = inst.num_edges
-    flip = np.eye(2 * dim)
-    marked = 2 * np.flatnonzero(_oracle_signs(inst, (0, 1)) < 0)
-    flip[marked, marked] = flip[marked + 1, marked + 1] = 0.0
-    flip[marked, marked + 1] = flip[marked + 1, marked] = 1.0
-    cz = np.ones(2 * dim)
-    lo, hi = part * half, (part + 1) * half
-    cz[2 * lo + 1:2 * hi:2] = -1.0
-    return cz[:, None] * flip * cz
+    arcs = np.arange(inst.dim)
+    marked = _oracle_signs(inst, (0, 1)) < 0
+    plain, flipped = 2 * arcs[~marked], 2 * arcs[marked]
+    flip_sign = np.where(arcs[marked] // inst.num_edges == part, -1.0, 1.0)
+    oracle = np.zeros((2 * inst.dim, 2 * inst.dim))
+    oracle[plain, plain] = oracle[plain + 1, plain + 1] = 1.0
+    oracle[flipped, flipped + 1] = oracle[flipped + 1, flipped] = flip_sign
+    return oracle
 
 
 def restrict_to_plus_ancilla(m) -> np.ndarray:
@@ -194,10 +197,15 @@ def build_evolution(inst: BipartiteInstance, oracle) -> np.ndarray:
     the coin with its row halves swapped, exactly; the step is that matrix
     times ``oracle``, one dense product instead of two.
     """
+    return _step_from_coin(inst, build_coin(inst), oracle)
+
+
+def _step_from_coin(inst: BipartiteInstance, coin: np.ndarray, oracle) -> np.ndarray:
+    """:func:`build_evolution` from the coin of ``inst`` already built."""
     om = as_matrix(oracle)
     if om.shape != (inst.dim, inst.dim):
         raise ValueError(f"oracle shape {om.shape} does not match arc dimension {inst.dim}")
-    return np.roll(build_coin(inst), inst.num_edges, axis=0) @ om
+    return np.roll(coin, inst.num_edges, axis=0) @ om
 
 
 def uniform_state(inst: BipartiteInstance) -> np.ndarray:

@@ -3,21 +3,28 @@ import logging
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import qwcount
 from qwcount import (
     BipartiteInstance,
+    EigenphaseMixture,
     FULL_COUNT_SUCCESS_PROBABILITY,
     FullCountDistribution,
     GOOD_ESTIMATE_PROBABILITY,
     SweepConfig,
+    angles_from_instance,
     bound_satisfaction_mass,
     build_oracle,
+    exact_distribution,
+    full_count,
+    invariant_basis,
     joint_success_mass,
     parse_sweep_config,
     partial_count,
     run_sweep,
+    spectral_decomposition,
     verify_suite,
 )
 from qwcount.analysis import MAX_SWEEP_POINTS, SweepRecord
@@ -283,6 +290,12 @@ def test_verify_suite_rejects_oversize_instance():
         verify_suite(BipartiteInstance(9, 9), 4)
 
 
+def test_verify_suite_rejects_oracle_of_wrong_shape(fig2):
+    oracle = np.eye(fig2.dim + 1)
+    with pytest.raises(ValueError, match=r"oracle shape \(25, 25\) does not match arc dimension 24"):
+        verify_suite(fig2, 5, oracle=oracle)
+
+
 def test_verify_suite_threshold_failure_is_reported(fig2):
     # At p = 6 the part-1 nominal-radius mass is below 8/pi^2; the suite
     # must report that check as failed rather than hide it.
@@ -315,3 +328,27 @@ def test_verify_suite_peak_memory_on_largest_arc_space():
         tracemalloc.stop()
     assert report.all_passed
     assert peak < 11 * 2**20
+
+
+ARRAY_VALUED_RESULTS = {
+    "EigenphaseMixture": lambda: EigenphaseMixture([0.1, 0.2], [[0.5], [0.5]]),
+    "PhaseDistribution": lambda: exact_distribution(EigenphaseMixture([0.1, 0.2], [[0.5], [0.5]]), 3),
+    "CountDistribution": lambda: partial_count(4, BipartiteInstance.from_counts(4, 3, 2, 1), 0),
+    "FullCountDistribution": lambda: full_count(4, FIG2),
+    "InvariantBasis": lambda: invariant_basis(FIG2),
+    "EigenRecord": lambda: spectral_decomposition(angles_from_instance(FIG2)).records[0],
+    "SpectralDecomposition": lambda: spectral_decomposition(angles_from_instance(FIG2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_VALUED_RESULTS))
+def test_array_valued_results_compare_by_identity(name):
+    # Field-wise == would compare ndarrays and raise; these compare and hash
+    # by identity.
+    make = ARRAY_VALUED_RESULTS[name]
+    a, b = make(), make()
+    assert type(a).__name__ == name and a is not b
+    assert a == a
+    assert (a == b) is False and (a != b) is True
+    assert hash(a) == hash(a)
+    assert len({a, b}) == 2

@@ -57,6 +57,9 @@ GOLDEN = {
     "verify": (
         ["verify", *FIG2, "--p", "5"],
         "21b1698d78bf532608190a2094a91bf9a390d08c5f2d6d1e67c87f5de613f578"),
+    "verify_k88_p8": (
+        ["verify", "--n0", "8", "--n1", "8", "--k0", "3", "--k1", "5", "--p", "8"],
+        "a9cc2eb47e9542bf00148c5d00c2ac033ca63a0c4565c3be2f8abdb89fbce673"),
 }
 
 # The default k0 range 0..3 makes n0 = 2, k0 = 3 infeasible: skipped points

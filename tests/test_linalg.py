@@ -3,7 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from qwcount import eigen_residual, mat_mul, unitarity_defect
+from qwcount import (
+    BipartiteInstance,
+    build_coin,
+    build_evolution,
+    build_oracle,
+    eigen_residual,
+    mat_mul,
+    unitarity_defect,
+    verify_suite,
+)
+from qwcount import linalg
 from qwcount.linalg import as_matrix, as_vector
 
 from conftest import rotation
@@ -119,3 +129,113 @@ def test_as_matrix_rejects_nonnumeric_nonfinite_and_wrong_rank(bad):
 def test_as_vector_rejects_nonnumeric_nonfinite_and_wrong_rank(bad):
     with pytest.raises(ValueError):
         as_vector(bad)
+
+
+def dense_defect(a) -> float:
+    """Reference: the dense Gram formula with an identity matrix."""
+    a = np.asarray(a)
+    return float(np.abs(a.conj().T @ a - np.eye(a.shape[0])).max())
+
+
+def signed_permutation(rng, n, dtype=np.float64):
+    """A random signed permutation whose zeros are a random mix of +0.0 and -0.0."""
+    m = np.zeros((n, n), dtype=dtype)
+    m[rng.random((n, n)) < 0.5] = -0.0
+    m[np.arange(n), rng.permutation(n)] = rng.choice([-1.0, 1.0], n)
+    if dtype == np.complex128:
+        m.imag[rng.random((n, n)) < 0.5] = -0.0
+    return m
+
+
+@pytest.fixture
+def dense_grams(monkeypatch):
+    """The operands that reach the dense Gram product, in call order."""
+    operands = []
+    dense = linalg._gram_defect
+
+    def recording(am):
+        operands.append(am)
+        return dense(am)
+
+    monkeypatch.setattr(linalg, "_gram_defect", recording)
+    return operands
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 48, 256])
+def test_signed_permutation_defect_is_exact(dense_grams, n, dtype):
+    rng = np.random.default_rng(n)
+    negative_zeros = 0
+    for _ in range(5):
+        m = signed_permutation(rng, n, dtype)
+        negative_zeros += np.signbit(m.real[m.real == 0]).sum()
+        assert unitarity_defect(m).hex() == dense_defect(m).hex() == (0.0).hex()
+    assert dense_grams == []
+    assert negative_zeros > 0 or n == 1
+
+
+def _near_misses():
+    """Signed permutations of size 6 broken in one place each."""
+    rng = np.random.default_rng(7)
+    base = signed_permutation(rng, 6)
+    cols = np.nonzero(base)[1]
+    misses = {}
+    m = base.copy()
+    m[2, cols[2]] = math.copysign(1.0 + 2.0**-52, m[2, cols[2]])
+    misses["one_ulp_above_one"] = m
+    m = base.copy()
+    first = int(np.argmin(cols))
+    m[first, cols[first] + 1] = 1.0
+    misses["row_with_two_nonzeros"] = m
+    m = base.copy()
+    m[2, cols[3]], m[3, cols[3]] = m[3, cols[3]], 0.0
+    misses["row_with_two_nonzeros_and_an_empty_row"] = m
+    m = base.copy()
+    m[2, cols[3]], m[2, cols[2]] = m[2, cols[2]], 0.0
+    misses["zero_column"] = m
+    m = base.astype(np.complex128)
+    m[4, cols[4]] = 1j
+    misses["entry_of_1j"] = m
+    m = np.zeros((6, 6))
+    m[:2, :2] = rotation(math.pi / 5).real
+    m[2:, 2:] = signed_permutation(rng, 4)
+    misses["rotation_block"] = m
+    return misses
+
+
+NEAR_MISSES = _near_misses()
+
+
+@pytest.mark.parametrize("name", sorted(NEAR_MISSES))
+def test_near_signed_permutations_take_the_dense_gram(dense_grams, name):
+    m = NEAR_MISSES[name]
+    assert unitarity_defect(m).hex() == dense_defect(m).hex()
+    assert len(dense_grams) == 1
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_dense_defect_matches_formula(dense_grams, seed):
+    rng = np.random.default_rng(seed)
+    real = np.linalg.qr(rng.standard_normal((40, 40)))[0]
+    cplx = np.linalg.qr(rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40)))[0]
+    for m in (real, cplx, 1.5 * real, real[:, ::-1]):
+        assert unitarity_defect(m).hex() == dense_defect(m).hex()
+    assert len(dense_grams) == 4
+
+
+def test_empty_matrix_is_rejected():
+    with pytest.raises(ValueError):
+        unitarity_defect(np.zeros((0, 0)))
+
+
+def test_verify_suite_forms_dense_grams_only_for_coin_and_evolution(dense_grams):
+    # Shift, oracle, both part oracles and both 256 x 256 ancilla oracles are
+    # signed permutations; the evolution is checked by the verify suite and
+    # again by the circuit engine.
+    inst = BipartiteInstance.from_counts(8, 8, 3, 5)
+    assert verify_suite(inst, 8).all_passed
+    coin, evolution = build_coin(inst), build_evolution(inst, build_oracle(inst))
+    names = ["coin" if np.array_equal(m, coin) else
+             "evolution" if np.array_equal(m, evolution) else f"other {m.shape}"
+             for m in dense_grams]
+    assert names == ["coin", "evolution", "evolution"]

@@ -199,8 +199,8 @@ def literal_ancilla_oracle(inst, part):
 
 @pytest.mark.parametrize("part", [0, 1])
 def test_ancilla_oracle_matches_literal_loop(part):
-    # Compared by value: the elementwise CZ product writes -0.0 where a
-    # matrix product writes +0.0, and array_equal treats the two as equal.
+    # Compared by value: the reference is complex128 and the oracle float64.
+    # The oracle is written into a zero-filled array, so its zeros are +0.0.
     for inst in list(iter_count_instances(8)) + random_instances(40, 8, seed=22):
         assert np.array_equal(build_ancilla_oracle(inst, part), literal_ancilla_oracle(inst, part))
 
