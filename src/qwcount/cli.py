@@ -7,11 +7,13 @@ Commands: ``spectrum`` (angles and eigenphase weights), ``distribution``
 suite on one instance).
 
 Each command returns its table as blocks of columns: a numpy array, a list,
-or one scalar repeated on every row.  :func:`emit`, the one writer for every
-command, formats each distinct value of a numeric column once and writes
-each block before it takes the next.  The exact ``count --part both`` table,
-``4^p`` rows, comes in blocks of at most ``_BLOCK_ROWS`` rows, is never held
-whole, and is limited to :data:`MAX_JOINT_ROWS` rows (``p <= 10``).
+one scalar repeated on every row, or a ``(values, codes)`` pair.  :func:`emit`,
+the one writer for every command, formats the distinct values of a numeric
+column, or a pair's values, with one ``%`` operation and writes each block
+before it takes the next.  The exact ``count --part both`` table, ``4^p``
+rows, comes in blocks of at most ``_BLOCK_ROWS`` rows (per-part columns as
+pairs formatted once per table), is never held whole, and is limited to
+:data:`MAX_JOINT_ROWS` rows (``p <= 10``).
 
 Exit codes: 0 success, 1 invalid input or I/O failure, 2 verification or
 threshold failure.  Floating values are printed with 17 significant digits
@@ -62,6 +64,8 @@ VERIFY_FIELDS = ("check", "value", "limit", "kind", "passed")
 MAX_JOINT_ROWS = 4**10
 # Rows formatted and written at a time when that table is streamed.
 _BLOCK_ROWS = 4096
+# How every float and integer is printed, one value or a whole array at once.
+_FLOAT_SPEC, _INT_SPEC = "%.17g", "%d"
 
 
 class UsageError(Exception):
@@ -160,9 +164,9 @@ def _format_scalar(value, as_json: bool) -> str:
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
+        return _FLOAT_SPEC % float(value)
     if isinstance(value, (int, np.integer)):
-        return str(value)
+        return _INT_SPEC % value
     return json.dumps(str(value)) if as_json else _csv_field(str(value))
 
 
@@ -173,21 +177,30 @@ def _csv_field(text: str) -> str:
     return buffer.getvalue()[:-2]
 
 
-def _cells(column, as_json: bool):
+def _format_numbers(values: np.ndarray) -> list[str]:
+    """Every value of a numeric array, as ``_format_scalar`` prints it, in one ``%``."""
+    spec = _FLOAT_SPEC if values.dtype.kind == "f" else _INT_SPEC
+    return ((spec + "\n") * values.size % tuple(values.tolist())).split("\n")[:-1]
+
+
+def _cells(column, as_json: bool, formatted: dict):
     """A column's cells as a list of strings, or one string for a scalar column.
 
     A numeric array is deduplicated on its bits (``0.0`` and ``-0.0`` stay
-    apart); each distinct value is formatted once, as ``_format_scalar`` would.
+    apart), so each distinct value is formatted once.  A ``(values, codes)``
+    pair gathers from ``formatted[id(values)]``, ``(values, strings)``.
     """
+    if isinstance(column, tuple):
+        return formatted[id(column[0])][1][column[1]].tolist()
     if isinstance(column, np.ndarray) and column.dtype.kind in "fiu":
         bits, inverse = np.unique(column.view(f"u{column.itemsize}"), return_inverse=True)
-        template = "%.17g" if column.dtype.kind == "f" else "%d"
-        distinct = np.array(list(map(template.__mod__, bits.view(column.dtype).tolist())),
-                            dtype=object)
+        if bits.size == column.size:
+            return _format_numbers(column)
+        distinct = np.array(_format_numbers(bits.view(column.dtype)), dtype=object)
         return distinct[inverse].tolist()
     if isinstance(column, np.ndarray):
         column = column.tolist()
-    if isinstance(column, (list, tuple)):
+    if isinstance(column, list):
         return [_format_scalar(value, as_json) for value in column]
     return _format_scalar(column, as_json)
 
@@ -200,11 +213,15 @@ def _write_table(handle, blocks, fieldnames, as_json: bool) -> None:
     else:
         handle.write(",".join(_csv_field(name) for name in fieldnames) + "\n")
         end, row_gap, lead = "\n", "", ""
+    formatted = {}  # id(values) -> (values, strings), kept while consecutive blocks pass values
     for block in blocks:
+        pairs = {id(c[0]): c[0] for c in map(block.__getitem__, fieldnames) if isinstance(c, tuple)}
+        formatted = {key: formatted.get(key) or (v, np.array(_format_numbers(v), dtype=object))
+                     for key, v in pairs.items()}
         # A row is constant text around its varying cells: texts[j] precedes columns[j].
         texts, columns = [""], []
         for head, name in zip(heads, fieldnames):
-            cells = _cells(block[name], as_json)
+            cells = _cells(block[name], as_json, formatted)
             texts[-1] += head
             if isinstance(cells, str):
                 texts[-1] += cells
@@ -232,10 +249,14 @@ def _write_table(handle, blocks, fieldnames, as_json: bool) -> None:
 def emit(blocks, fieldnames, output_format: str, destination: str | None) -> None:
     """Write a table as CSV (fixed header) or JSON (array of objects), block by block.
 
-    Each block maps every field name to a column: a numpy array, a list, or
-    one scalar repeated on every row, all of one length within a block.  A
-    numeric array has each distinct value formatted once.  Blocks may come
-    from a generator, so a large table is never held whole.
+    Each block maps every field name to a column: a numpy array, a list, one
+    scalar repeated on every row, or a ``(values, codes)`` pair of numeric
+    arrays whose row ``r`` shows ``values[codes[r]]``, all of one length within
+    a block.  A numeric array has each distinct value formatted once, all with
+    one ``%``.  A pair's ``values`` are formatted once while consecutive blocks
+    pass the same (unchanged) array object, and dropped after a block that
+    does not.  Blocks may come from a generator, so a large table is never
+    held whole.
     """
     as_json = output_format == "json"
     if destination in (None, "-"):
@@ -296,25 +317,33 @@ def _check_joint_rows(p: int) -> None:
 
 
 def _joint_blocks(joint):
-    """The ``P²`` rows of the joint table, whole runs of part-0 indices per block."""
-    k0, m0 = joint.part0.k_est, joint.part0.mass
-    k1, m1 = joint.part1.k_est, joint.part1.mass
-    size = k1.size
+    """The ``P²`` rows of the joint table, whole runs of part-0 indices per block.
+
+    Per-part columns are pairs over the part arrays.  A float sum or product
+    depends only on its operands' bits, so a block's ``k_est`` and ``mass`` are
+    its part-0 bit classes combined with every part-1 class, with codes computed.
+    """
+    part0, part1 = joint.part0, joint.part1
+    size = part1.mass.size
     index = np.arange(size)
+    # Each part array's distinct bit patterns, as floats, and every entry's class.
+    k0, k1, m0, m1 = [(bits.view(np.float64), classes) for bits, classes in (
+        np.unique(values.view(np.uint64), return_inverse=True)
+        for values in (part0.k_est, part1.k_est, part0.mass, part1.mass))]
     step = max(1, _BLOCK_ROWS // size)
     for start in range(0, size, step):
-        stop = min(start + step, size)
-        yield {
-            "p": joint.p,
-            "omega_index_0": np.repeat(index[start:stop], size),
-            "omega_index_1": np.tile(index, stop - start),
-            "k_est_0": np.repeat(k0[start:stop], size),
-            "k_est_1": np.tile(k1, stop - start),
-            "k_est": np.add.outer(k0[start:stop], k1).ravel(),
-            "mass": np.multiply.outer(m0[start:stop], m1).ravel(),
-            "bound": joint.bound,
-            "oracle_queries": joint.oracle_queries,
-        }
+        rows = slice(start, min(start + step, size))
+        block = {"p": joint.p, "bound": joint.bound, "oracle_queries": joint.oracle_queries,
+                 "omega_index_0": (index, np.repeat(index[rows], size)),
+                 "omega_index_1": (index, np.tile(index, rows.stop - start)),
+                 "k_est_0": (k0[0], np.repeat(k0[1][rows], size)),
+                 "k_est_1": (k1[0], np.tile(k1[1], rows.stop - start))}
+        for name, op, (u0, c0), (u1, c1) in (("k_est", np.add, k0, k1),
+                                             ("mass", np.multiply, m0, m1)):
+            present, inverse = np.unique(c0[rows], return_inverse=True)
+            block[name] = (op.outer(u0[present], u1).ravel(),
+                           (inverse[:, None] * u1.size + c1).ravel())
+        yield block
 
 
 def _cmd_count(args):

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import dataclasses
 import io
@@ -588,6 +589,88 @@ def test_emitter_dedups_on_bits_not_values(capsys, fmt):
 def test_emitter_rejects_ragged_columns(capsys):
     with pytest.raises(ValueError):
         emit([{"a": [1, 2], "b": np.arange(3)}], ("a", "b"), "csv", None)
+
+
+PAIR_FIELDS = ("shared", "big", "constant")
+
+
+def _pair_blocks():
+    # Float values with -0.0 beside 0.0 and NaNs of both signs and several
+    # payloads; uint64 values above 2**63.
+    shared = np.array([0, 1 << 63, 0x7FF8 << 48, 0xFFF8 << 48, 0x7FF0000000000001,
+                       0xFFF00000DEADBEEF, 0x3FB999999999999A, 0x7FF0 << 48],
+                      dtype=np.uint64).view(np.float64)
+    twin = shared.copy()
+    big = np.array([0, 2**63, 2**64 - 1, 2**63 + 12345, 7], dtype=np.uint64)
+    codes = np.random.default_rng(9).integers(0, 8, 40)
+    none = np.array([], dtype=np.intp)
+    return [
+        {"shared": (shared, codes), "big": (big, codes % 5), "constant": -0.0},
+        {"shared": (shared, codes[::-1]), "big": (big, codes[:40] // 2), "constant": "c"},
+        {"shared": (twin, codes[:9]), "big": np.arange(9, dtype=np.uint64) << 60,
+         "constant": 1},
+        {"shared": (shared, none), "big": (big, none), "constant": 2},
+        {"shared": (shared, codes[3:]), "big": (big, codes[3:] % 5), "constant": None},
+        {"shared": (twin, codes[:4]), "big": 2**64 - 1, "constant": "only varying"},
+        {"shared": [], "big": (big, none), "constant": 3},
+    ]
+
+
+def _expanded(blocks):
+    return [{name: column[0][column[1]] if isinstance(column, tuple) else column
+             for name, column in block.items()} for block in blocks]
+
+
+def _fresh_pair_blocks():
+    # A new values array per block, with new contents: a cache keyed on a bare
+    # id() could meet a freed array's id again.
+    for block in range(6):
+        values = np.arange(block, block + 5, dtype=np.float64) / 3
+        yield {"shared": (values, np.arange(5)[::-1]),
+               "big": (values.view(np.uint64), [0, 1, 2, 3, 4]), "constant": block}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_emitter_pair_columns_match_row_reference(capsys, fmt):
+    blocks = _pair_blocks()
+    emit(iter(blocks), PAIR_FIELDS, fmt, None)
+    expected = _expanded(blocks)
+    assert capsys.readouterr().out == ref_render(_rows_of(expected, PAIR_FIELDS), PAIR_FIELDS, fmt)
+    emit(_fresh_pair_blocks(), PAIR_FIELDS, fmt, None)
+    expected = _expanded(_fresh_pair_blocks())
+    assert capsys.readouterr().out == ref_render(_rows_of(expected, PAIR_FIELDS), PAIR_FIELDS, fmt)
+
+
+def test_joint_table_formats_part_columns_once_and_class_products_per_block(monkeypatch):
+    # k/n off the estimate grid, so both parts have many bit classes.
+    argv = ["count", "--n0", "37", "--n1", "50", "--k0", "13", "--k1", "29", "--p", "8",
+            "--part", "both", "--output", "-"]
+    formatted = []
+    format_numbers = cli._format_numbers
+    monkeypatch.setattr(cli, "_format_numbers",
+                        lambda values: formatted.append(values.size) or format_numbers(values))
+    joint = full_count(8, _instance_from_args(build_parser().parse_args(argv)))
+    size = joint.part0.mass.size
+
+    def classes(values):
+        return np.unique(values.view(np.uint64), return_inverse=True)
+
+    k0, k1, m0, m1 = map(classes, (joint.part0.k_est, joint.part1.k_est,
+                                   joint.part0.mass, joint.part1.mass))
+    # Per table: the grid indices (shared by both index columns) and each
+    # part's k_est classes.  Per block: a (part-0 class present, part-1 class)
+    # product for k_est and for mass.
+    expected = [size, k0[0].size, k1[0].size]
+    step = _BLOCK_ROWS // size
+    for start in range(0, size, step):
+        rows = slice(start, start + step)
+        expected += [np.unique(k0[1][rows]).size * k1[0].size,
+                     np.unique(m0[1][rows]).size * m1[0].size]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    assert len(expected) == 3 + 2 * 16
+    assert sorted(formatted) == sorted(expected)
+    assert sum(formatted) == 50050  # 55,312 when every block's columns were sorted
 
 
 @pytest.mark.parametrize("p", [11, 64, 10**9])

@@ -41,6 +41,15 @@ GOLDEN = {
     "count_exact_both_json_p7": (
         ["count", *FIG2, "--p", "7", "--part", "both", "--format", "json"],
         "6d5a481609c13a9bfd72e81359fe959c904e653a8e0a1fd081019dbb1b664090"),
+    # 65,536 rows in 16 blocks: pins the joint table across block edges.
+    "count_exact_both_p8_blocks": (
+        ["count", "--n0", "37", "--n1", "50", "--k0", "13", "--k1", "29", "--p", "8",
+         "--part", "both"],
+        "c738b791954f8884c318825f56371549e2cfbb1152fa224994cf2a96ad93c609"),
+    "count_exact_both_p8_blocks_json": (
+        ["count", "--n0", "37", "--n1", "50", "--k0", "13", "--k1", "29", "--p", "8",
+         "--part", "both", "--format", "json"],
+        "e2e2543d9897ba4a88563515c101984cc00945824ad2f8b69b2821f1119ceb67"),
     "distribution_analytic_p12_part64": (
         ["distribution", "--n0", "64", "--n1", "64", "--k0", "13", "--k1", "29", "--p", "12"],
         "c1bd1c1c7620e8d75d777ca5a8c9679543f9b6f5a15136ee93f5ff215b716bab"),
