@@ -18,10 +18,10 @@ from typing import ClassVar
 import numpy as np
 
 from .counting import CountDistribution, FullCountDistribution, full_count, partial_count
-from .linalg import _identity_distance, as_matrix, eigen_residual, unitarity_defect
+from .linalg import _eigen_residual, _identity_distance, as_matrix, unitarity_defect
 from .phase_estimation import (
     GOOD_ESTIMATE_PROBABILITY,
-    circuit_distribution,
+    _circuit_marginal,
     exact_distribution,
     total_variation,
 )
@@ -368,7 +368,8 @@ def verify_suite(inst: BipartiteInstance, p: int, *,
     for j in (0, 1):
         check_max(f"unitarity_part_oracle_{j}", unitarity_defect(part_oracles[j]), _STRUCTURAL_TOL)
         check_max(f"unitarity_ancilla_oracle_{j}", unitarity_defect(ancilla_oracles[j]), _STRUCTURAL_TOL)
-    check_max("unitarity_evolution", unitarity_defect(evolution), _STRUCTURAL_TOL)
+    evolution_defect = unitarity_defect(evolution)
+    check_max("unitarity_evolution", evolution_defect, _STRUCTURAL_TOL)
 
     check_max("involution_shift", _identity_distance(shift @ shift), _IDENTITY_TOL)
     check_max("involution_coin", _identity_distance(coin @ coin), _IDENTITY_TOL)
@@ -390,7 +391,7 @@ def verify_suite(inst: BipartiteInstance, p: int, *,
     check_max("reduced_reconciliation", np.abs(projected - analytic).max(), _STRUCTURAL_TOL)
 
     decomposition = spectral_decomposition(angles)
-    residual = max(eigen_residual(reduced_matrix, r.eigenvalue, r.eigenvector)
+    residual = max(_eigen_residual(reduced_matrix, r.eigenvalue, r.eigenvector)
                    for r in decomposition.records)
     check_max("eigen_residual_max", residual, _RESIDUAL_TOL)
     eigenvectors = np.column_stack([r.eigenvector for r in decomposition.records])
@@ -407,7 +408,7 @@ def verify_suite(inst: BipartiteInstance, p: int, *,
     check_max("overlap_sum", abs(overlaps.sum() - 1.0), _RESIDUAL_TOL)
 
     analytic_dist = exact_distribution(eigenphase_table(angles), p)
-    circuit_dist = circuit_distribution(evolution, uniform_state(inst), p)
+    circuit_dist = _circuit_marginal(evolution, uniform_state(inst), p, evolution_defect)
     check_max("analytic_circuit_tv", total_variation(analytic_dist, circuit_dist), _CROSS_MODE_TOL)
 
     joint = full_count(p, inst, "exact")

@@ -289,6 +289,10 @@ def partial_count(p: int, inst: BipartiteInstance, part: int, mode: str = "exact
     outcome to [0, π/2] and applies ``k = n_part sin²``.  Exact mode returns
     the full :class:`CountDistribution`; sampled mode draws one outcome and
     returns a :class:`CountEstimate`.  The run costs ``P - 1`` oracle queries.
+
+    For ``k_part`` in ``{0, n_part}`` the count is exact (mass 1 on
+    ``k_part``) given ``p >= 2``; at ``p = 1`` both give 0.  The paper's
+    ``8(1 − 2^{-t})/π²`` is read with ``t = p``, an assumption.
     """
     _check_part(part)
     _check_mode(mode, seed)

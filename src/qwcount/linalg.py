@@ -19,6 +19,9 @@ row and column, each exactly ±1), the shape of the shift, the oracles and
 the ancilla oracles: every Gram entry of such a matrix is at most one
 ``±1·±1`` product plus exact zeros, so the dense product would be exactly
 the identity and its defect exactly 0.0.
+
+:func:`eigen_residual` validates its input, then calls the private core
+``_eigen_residual``, which the verify suite calls on the reduced step it built.
 """
 
 from __future__ import annotations
@@ -131,7 +134,11 @@ def eigen_residual(a, eigenvalue: complex, v) -> float:
         raise ValueError(f"eigen residual requires a square matrix, got {am.shape}")
     if am.shape[1] != vv.shape[0]:
         raise ValueError(f"dimension mismatch: {am.shape} and ({vv.shape[0]},)")
-    norm = np.linalg.norm(vv)
-    if norm == 0.0:
+    if np.linalg.norm(vv) == 0.0:
         raise ValueError("eigenvector must be nonzero")
-    return float(np.linalg.norm(am @ vv - eigenvalue * vv) / norm)
+    return _eigen_residual(am, eigenvalue, vv)
+
+
+def _eigen_residual(am: np.ndarray, eigenvalue: complex, vv: np.ndarray) -> float:
+    """:func:`eigen_residual` of a validated square ``am`` and nonzero ``vv``."""
+    return float(np.linalg.norm(am @ vv - eigenvalue * vv) / np.linalg.norm(vv))

@@ -255,9 +255,10 @@ def circuit_distribution(u, psi, p: int) -> PhaseDistribution:
     bit ``e`` is set.  Bits act in increasing order, so once bits ``0..e-1``
     have acted, column ``m`` equals column ``m mod 2^e``: only the first
     ``2^e`` columns are distinct.  Bit ``e`` then doubles that prefix,
-    ``state[:, 2^e:2^{e+1}] = u^{2^e} @ state[:, :2^e]``, and each column
-    gets the same powers in the same order as a per-bit gather and scatter
-    over all ``P`` columns would give it.  The cost is ``(P-1)·d²`` row work
+    ``state[:, 2^e:2^{e+1}] = u^{2^e} @ state[:, :2^e]`` (written in place
+    by ``np.matmul(..., out=...)``), and each column gets the same powers in
+    the same order as a per-bit gather and scatter over all ``P`` columns
+    would give it.  The cost is ``(P-1)·d²`` row work
     and ``p-1`` squarings.  The state takes the promoted dtype of ``u`` and
     ``psi``, so for a real walk and a real start the squarings and the prefix
     doubling run in real arithmetic; a complex operand makes them complex.
@@ -271,6 +272,10 @@ def circuit_distribution(u, psi, p: int) -> PhaseDistribution:
     Hermitian mirror ``mass[P − m] = mass[m]``, so mirror masses are
     bit-equal.
 
+    Input is validated once, here; the private core ``_circuit_marginal``
+    takes the defect of ``u``, so the verify suite, which has just reported
+    it for the step it built, forms that step's Gram once.
+
     Raises
     ------
     ValueError
@@ -278,15 +283,19 @@ def circuit_distribution(u, psi, p: int) -> PhaseDistribution:
     ResourceLimitError
         If ``p`` exceeds :data:`MAX_CIRCUIT_QUBITS`.
     """
-    if p < 1:
-        raise ValueError(f"register size must be at least 1 qubit, got {p}")
-    if p > MAX_CIRCUIT_QUBITS:
-        raise ResourceLimitError(f"circuit simulation limited to p <= {MAX_CIRCUIT_QUBITS}, got {p}")
     um = as_matrix(u)
     vec = as_vector(psi)
     if um.shape[0] != um.shape[1] or um.shape[0] != vec.shape[0]:
         raise ValueError(f"operator shape {um.shape} does not match state dimension {vec.shape[0]}")
-    defect = unitarity_defect(um)
+    return _circuit_marginal(um, vec, p, unitarity_defect(um))
+
+
+def _circuit_marginal(um: np.ndarray, vec: np.ndarray, p: int, defect: float) -> PhaseDistribution:
+    """:func:`circuit_distribution` on validated ``um`` and ``vec``, given ``unitarity_defect(um)``."""
+    if p < 1:
+        raise ValueError(f"register size must be at least 1 qubit, got {p}")
+    if p > MAX_CIRCUIT_QUBITS:
+        raise ResourceLimitError(f"circuit simulation limited to p <= {MAX_CIRCUIT_QUBITS}, got {p}")
     if defect > _UNITARITY_TOL:
         raise ValueError(f"operator is not unitary: defect {defect:.3e} exceeds {_UNITARITY_TOL:.1e}")
     norm = np.linalg.norm(vec)
@@ -301,7 +310,7 @@ def circuit_distribution(u, psi, p: int) -> PhaseDistribution:
         half = 2**e
         if e:
             power = power @ power
-        state[:, half:2 * half] = power @ state[:, :half]
+        np.matmul(power, state[:, :half], out=state[:, half:2 * half])
     # Inverse Fourier transform on the register index.
     if np.iscomplexobj(state):
         state = np.fft.fft(state, axis=1)

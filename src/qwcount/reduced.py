@@ -112,12 +112,12 @@ def invariant_basis(inst: BipartiteInstance) -> InvariantBasis:
     """Uniform superpositions over the eight (tail class, head class) arc sets.
 
     A direction-0 arc ``(u, v)`` sits at ``u*n1 + v`` in the first half, so
-    its class vector is ``kron(tail mask on V0, head mask on V1)`` there; a
-    direction-1 arc has its tail in V1 and sits at the same offset in the
-    second half, so the factors swap.
+    its class vector is ``kron(tail mask on V0, head mask on V1)`` there,
+    written as the raveled outer product; a direction-1 arc has its tail in
+    V1 and sits at the same offset in the second half, so the factors swap.
     """
-    marked0 = np.isin(np.arange(inst.n0), list(inst.marked0))
-    marked1 = np.isin(np.arange(inst.n1), list(inst.marked1))
+    marked0, marked1 = np.zeros(inst.n0, dtype=bool), np.zeros(inst.n1, dtype=bool)
+    marked0[list(inst.marked0)] = marked1[list(inst.marked1)] = True
     masks = {"K0": marked0, "K0c": ~marked0, "K1": marked1, "K1c": ~marked1}
     half = inst.num_edges
     vectors = []
@@ -129,9 +129,9 @@ def invariant_basis(inst: BipartiteInstance) -> InvariantBasis:
             continue
         vec = np.zeros(inst.dim)
         if tail.startswith("K0"):
-            vec[:half] = np.kron(tails, heads)
+            vec[:half] = np.outer(tails, heads).ravel()
         else:
-            vec[half:] = np.kron(heads, tails)
+            vec[half:] = np.outer(heads, tails).ravel()
         vec *= 1.0 / math.sqrt(size)
         vec.setflags(write=False)
         vectors.append(vec)
@@ -210,10 +210,13 @@ class SpectralDecomposition:
         return np.array([r.initial_overlap for r in self.records])
 
 
-def _eigenvector(scalar: complex, first_pattern, second_pattern) -> np.ndarray:
-    first = scalar * np.array(first_pattern, dtype=np.complex128)
-    second = np.array(second_pattern, dtype=np.complex128)
-    vec = np.concatenate([first, second]) / math.sqrt(8.0)
+_PATTERN_A = np.array((1, -1j, 1j, 1), dtype=np.complex128)
+_PATTERN_B = np.array((1, -1j, -1j, -1), dtype=np.complex128)
+_PATTERN_A_CONJ, _PATTERN_B_CONJ = np.conj(_PATTERN_A), np.conj(_PATTERN_B)
+
+
+def _eigenvector(scalar: complex, first_pattern: np.ndarray, second_pattern: np.ndarray) -> np.ndarray:
+    vec = np.concatenate((scalar * first_pattern, second_pattern)) / math.sqrt(8.0)
     vec.setflags(write=False)
     return vec
 
@@ -228,22 +231,16 @@ def spectral_decomposition(angles: WalkAngles) -> SpectralDecomposition:
     """
     mu, sigma = angles.mu, angles.sigma
     e_mu, e_sigma = cmath.exp(1j * mu), cmath.exp(1j * sigma)
-    j = 1j
-    pattern_a = (1, -j, j, 1)
-    pattern_b = (1, -j, -j, -1)
-
-    def conj(pattern):
-        return tuple(np.conj(pattern))
-
+    a, a_conj, b, b_conj = _PATTERN_A, _PATTERN_A_CONJ, _PATTERN_B, _PATTERN_B_CONJ
     entries = (
-        ("mu+", e_mu, mu, _eigenvector(e_sigma, pattern_a, pattern_a)),
-        ("mu-", -e_mu, math.pi + mu, _eigenvector(-e_sigma, pattern_a, pattern_a)),
-        ("mu+*", e_mu.conjugate(), -mu, _eigenvector(e_sigma.conjugate(), conj(pattern_a), conj(pattern_a))),
-        ("mu-*", -e_mu.conjugate(), math.pi - mu, _eigenvector(-e_sigma.conjugate(), conj(pattern_a), conj(pattern_a))),
-        ("sigma+", e_sigma, sigma, _eigenvector(e_mu, conj(pattern_b), pattern_b)),
-        ("sigma-", -e_sigma, math.pi + sigma, _eigenvector(-e_mu, conj(pattern_b), pattern_b)),
-        ("sigma+*", e_sigma.conjugate(), -sigma, _eigenvector(e_mu.conjugate(), pattern_b, conj(pattern_b))),
-        ("sigma-*", -e_sigma.conjugate(), math.pi - sigma, _eigenvector(-e_mu.conjugate(), pattern_b, conj(pattern_b))),
+        ("mu+", e_mu, mu, _eigenvector(e_sigma, a, a)),
+        ("mu-", -e_mu, math.pi + mu, _eigenvector(-e_sigma, a, a)),
+        ("mu+*", e_mu.conjugate(), -mu, _eigenvector(e_sigma.conjugate(), a_conj, a_conj)),
+        ("mu-*", -e_mu.conjugate(), math.pi - mu, _eigenvector(-e_sigma.conjugate(), a_conj, a_conj)),
+        ("sigma+", e_sigma, sigma, _eigenvector(e_mu, b_conj, b)),
+        ("sigma-", -e_sigma, math.pi + sigma, _eigenvector(-e_mu, b_conj, b)),
+        ("sigma+*", e_sigma.conjugate(), -sigma, _eigenvector(e_mu.conjugate(), b, b_conj)),
+        ("sigma-*", -e_sigma.conjugate(), math.pi - sigma, _eigenvector(-e_mu.conjugate(), b, b_conj)),
     )
     d_red = reduced_uniform_state(angles)
     records = tuple(

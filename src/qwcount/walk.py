@@ -95,9 +95,8 @@ class BipartiteInstance:
 
 
 def build_shift(inst: BipartiteInstance) -> np.ndarray:
-    """Flip-flop shift: swaps each arc with its reverse.  Involution."""
-    x = np.array([[0.0, 1.0], [1.0, 0.0]])
-    return np.kron(x, np.eye(inst.num_edges))
+    """Flip-flop shift ``X ⊗ I``: swaps each arc ``a`` with its reverse ``a ± n0·n1``.  Involution."""
+    return np.eye(inst.dim, k=inst.num_edges) + np.eye(inst.dim, k=-inst.num_edges)
 
 
 def _grover_block(d: int) -> np.ndarray:
@@ -111,12 +110,14 @@ def build_coin(inst: BipartiteInstance) -> np.ndarray:
     Direction-0 arcs with tail ``u`` are contiguous in the flat layout, so
     that half is ``I_{n0} ⊗ G_{n1}``.  Direction-1 arcs with tail ``v`` sit
     at stride ``n1``, which ``G_{n0} ⊗ I_{n1}`` matches.  A degree-1 vertex
-    gets the 1x1 identity block.
+    gets the 1x1 identity block.  The blocks are written through a
+    ``(n0, n1, n0, n1)`` view of each half, at ``u = u'`` and ``v = v'``.
     """
-    half = inst.num_edges
+    n0, n1, half = inst.n0, inst.n1, inst.num_edges
     coin = np.zeros((inst.dim, inst.dim))
-    coin[:half, :half] = np.kron(np.eye(inst.n0), _grover_block(inst.n1))
-    coin[half:, half:] = np.kron(_grover_block(inst.n0), np.eye(inst.n1))
+    u, v = np.arange(n0), np.arange(n1)
+    coin[:half, :half].reshape(n0, n1, n0, n1)[u, :, u, :] = _grover_block(n1)
+    coin[half:, half:].reshape(n0, n1, n0, n1)[:, v, :, v] = _grover_block(n0)
     return coin
 
 

@@ -1,16 +1,28 @@
 import math
+import os
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qwcount import BipartiteInstance, build_coin, build_shift
+import qwcount
+from qwcount import BASIS_LABELS, BipartiteInstance, build_coin, build_shift
 
 
 @pytest.fixture
 def fig2():
     """K_{4,3} with two marks in part 0 and one in part 1, the flagship instance."""
     return BipartiteInstance(4, 3, frozenset({1, 3}), frozenset({1}))
+
+
+def package_env():
+    """The environment with the tested package's directory first on PYTHONPATH,
+    so that ``python -m qwcount`` in a subprocess runs that same package."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(qwcount.__file__).resolve().parents[1]), env.get("PYTHONPATH")]))
+    return env
 
 
 def iter_count_instances(n_max, include_empty=True):
@@ -126,6 +138,50 @@ def literal_plus_restriction(m) -> np.ndarray:
     """``(⟨a|⊗⟨+|) M (|b⟩⊗|+⟩)`` as half the sum over both ancilla axes."""
     d = m.shape[0] // 2
     return 0.5 * m.reshape(d, 2, d, 2).sum(axis=(1, 3))
+
+
+# Kronecker-product references for the builders that qwcount.walk and
+# qwcount.reduced write entry by entry.
+
+
+def kron_shift(inst: BipartiteInstance) -> np.ndarray:
+    """The shift as ``X ⊗ I_{n0·n1}``."""
+    return np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(inst.num_edges))
+
+
+def kron_coin(inst: BipartiteInstance) -> np.ndarray:
+    """The coin as ``(I_{n0} ⊗ G_{n1}) ⊕ (G_{n0} ⊗ I_{n1})``, ``G_d = (2/d)J − I``."""
+    def grover(d):
+        return (2.0 / d) * np.ones((d, d)) - np.eye(d)
+
+    half = inst.num_edges
+    coin = np.zeros((inst.dim, inst.dim))
+    coin[:half, :half] = np.kron(np.eye(inst.n0), grover(inst.n1))
+    coin[half:, half:] = np.kron(grover(inst.n0), np.eye(inst.n1))
+    return coin
+
+
+def kron_invariant_basis(inst: BipartiteInstance) -> list:
+    """Class vectors as ``kron(tail mask, head mask)`` scaled by ``1/sqrt(size)``, absent ones None."""
+    marked0 = np.isin(np.arange(inst.n0), list(inst.marked0))
+    marked1 = np.isin(np.arange(inst.n1), list(inst.marked1))
+    masks = {"K0": marked0, "K0c": ~marked0, "K1": marked1, "K1c": ~marked1}
+    vectors = []
+    for label in BASIS_LABELS:
+        tail, head = label.split(",")
+        tails, heads = masks[tail], masks[head]
+        size = int(tails.sum()) * int(heads.sum())
+        if size == 0:
+            vectors.append(None)
+            continue
+        vec = np.zeros(inst.dim)
+        if tail.startswith("K0"):
+            vec[:inst.num_edges] = np.kron(tails, heads)
+        else:
+            vec[inst.num_edges:] = np.kron(heads, tails)
+        vec *= 1.0 / math.sqrt(size)
+        vectors.append(vec)
+    return vectors
 
 
 # Float reference for the kernel that qwcount.phase_estimation evaluates in

@@ -11,6 +11,10 @@ therefore measure mass within the nominal formula at ``P/2``
 The nominal radius (``M = P``), which the ``bound`` fields report, is missed
 on some instances; criterion 7 asserts one such miss on the literal circuit
 engine, and both criteria print the nominal miss count as a report.
+
+The paper's exactness claim (``k`` in ``{0, n}`` counted exactly) holds for
+``p >= 2``: criterion 7 asserts it for one part and the ``p = 1``
+counterexample as a finding, criterion 8 asserts it for the total count.
 """
 
 import itertools
@@ -54,7 +58,7 @@ from qwcount import (
     unitarity_defect,
 )
 
-from conftest import estimate_k, fold_phase
+from conftest import estimate_k, fold_phase, package_env
 
 TWO_PI = 2 * math.pi
 
@@ -216,6 +220,19 @@ def test_criterion_07_single_part_bound_mass():
     certainty = partial_count(3, BipartiteInstance.from_counts(4, 3, 2, 0), 0)
     certainty_ok = certainty.mass_within(1e-9) >= 1.0 - 1e-9
 
+    # Exactness as the paper states it: with no marks or all marks the part
+    # count puts mass 1 on k~ = k, given p >= 2.  At p = 1 the walk cannot
+    # tell k = 0 from k = n: all three vertices of part 0 of K_{3,1} marked
+    # give k~ = 0 with mass 1.
+    exact_ok = all(
+        abs(partial_count(p, inst, part).mass_within(0.0) - 1.0) <= 1e-12
+        for n in (1, 2, 3, 7, 8, 33, 64) for k in (0, n) for p in (2, 3, 4, 8, 12)
+        for inst, part in ((BipartiteInstance.from_counts(n, 1, k, 0), 0),
+                           (BipartiteInstance.from_counts(1, n, 0, k), 1)))
+    single_qubit = partial_count(1, BipartiteInstance.from_counts(3, 1, 3, 0), 0)
+    single_qubit_ok = (single_qubit.mass_within(0.0) == 0.0
+                       and abs(single_qubit.mass[single_qubit.k_est == 0.0].sum() - 1.0) <= 1e-12)
+
     # The nominal radius (M = P) is missed, on the literal circuit engine and
     # independently of the analytic pipeline below: part 0, n = 4, k = 1, p = 4
     # has nominal-radius mass 0.7065 < 8/pi^2.
@@ -242,8 +259,11 @@ def test_criterion_07_single_part_bound_mass():
             worst = min(worst, mass)
             if mass < GOOD_ESTIMATE_PROBABILITY - 1e-9:
                 violations.append((part, n, k, p, round(mass, 4)))
-    ok = certainty_ok and finding_ok and not violations
+    ok = certainty_ok and exact_ok and single_qubit_ok and finding_ok and not violations
     detail = (f"certainty clause {'holds' if certainty_ok else 'fails'}; "
+              f"exactness at k in {{0, n}}, p >= 2 {'holds' if exact_ok else 'fails'}; "
+              f"p = 1 counterexample (K_(3,1), k0 = 3 -> k~ = 0) "
+              f"{'holds' if single_qubit_ok else 'fails'}; "
               f"worst half-angle-radius mass {worst:.6f}; circuit counterexample "
               f"(part 0, n=4, k=1, p=4) nominal {circuit_nominal:.6f}, half-angle {circuit_adjusted:.6f}; "
               f"nominal radius missed at {nominal_misses} grid points, worst {worst_nominal:.6f}")
@@ -254,6 +274,10 @@ def test_criterion_07_single_part_bound_mass():
 
 
 def test_criterion_08_total_count_bound_mass():
+    # Exactness at the four corners k_j in {0, n_j}, given p >= 2.
+    corners_ok = all(
+        abs(full_count(p, BipartiteInstance.from_counts(n0, n1, k0, k1)).mass_within(0.0) - 1.0) <= 1e-12
+        for n0, n1 in ((1, 1), (3, 5), (8, 8)) for k0 in (0, n0) for k1 in (0, n1) for p in (2, 4, 8))
     violations = []
     queries_ok = True
     nominal_misses = 0
@@ -273,8 +297,9 @@ def test_criterion_08_total_count_bound_mass():
                         worst = min(worst, mass)
                         if mass < 0.65 - 1e-9:
                             violations.append((n0, n1, k0, k1, p, round(mass, 4)))
-    ok = queries_ok and not violations
-    detail = (f"query accounting {'holds' if queries_ok else 'fails'}; "
+    ok = corners_ok and queries_ok and not violations
+    detail = (f"exactness at the corners k_j in {{0, n_j}}, p >= 2 {'holds' if corners_ok else 'fails'}; "
+              f"query accounting {'holds' if queries_ok else 'fails'}; "
               f"worst half-angle-radius mass {worst:.6f}; "
               f"nominal radius missed at {nominal_misses} grid points, worst {worst_nominal:.6f}")
     if violations:
@@ -319,8 +344,8 @@ def test_criterion_11_reproducibility():
     argv = [sys.executable, "-m", "qwcount", "count", "--n0", "4", "--n1", "3",
             "--k0", "2", "--k1", "1", "--p", "6", "--mode", "sampled",
             "--trials", "50", "--seed", "20260811"]
-    first = subprocess.run(argv, capture_output=True)
-    second = subprocess.run(argv, capture_output=True)
+    first = subprocess.run(argv, capture_output=True, env=package_env())
+    second = subprocess.run(argv, capture_output=True, env=package_env())
     bytes_ok = first.returncode == 0 and first.stdout == second.stdout
 
     dist = exact_distribution(eigenphase_table(angles_from_instance(FIG2)), 6)
@@ -339,8 +364,8 @@ def test_criterion_11_reproducibility():
 def test_criterion_12_negative_control():
     base = [sys.executable, "-m", "qwcount", "verify", "--n0", "4", "--n1", "3",
             "--k0", "2", "--k1", "1", "--p", "5"]
-    clean = subprocess.run(base, capture_output=True)
-    corrupt = subprocess.run(base + ["--corrupt-oracle"], capture_output=True)
+    clean = subprocess.run(base, capture_output=True, env=package_env())
+    corrupt = subprocess.run(base + ["--corrupt-oracle"], capture_output=True, env=package_env())
     ok = clean.returncode == 0 and corrupt.returncode == 2
     report(12, "negative control", ok,
            f"clean exit {clean.returncode}, corrupted exit {corrupt.returncode}")

@@ -34,6 +34,8 @@ from qwcount.phase_estimation import circuit_distribution, exact_distribution
 from qwcount.reduced import EIGENPHASE_LABELS, angles_from_instance, eigenphase_table
 from qwcount.walk import build_evolution, build_oracle, uniform_state
 
+from conftest import package_env
+
 FIG2_ARGS = ["--n0", "4", "--n1", "3", "--k0", "2", "--k1", "1"]
 
 
@@ -306,8 +308,8 @@ def test_json_output_uses_17_significant_digits(capsys):
 def test_module_invocation_is_byte_stable():
     argv = [sys.executable, "-m", "qwcount", "count", *FIG2_ARGS,
             "--p", "5", "--mode", "sampled", "--trials", "25", "--seed", "314"]
-    first = subprocess.run(argv, capture_output=True)
-    second = subprocess.run(argv, capture_output=True)
+    first = subprocess.run(argv, capture_output=True, env=package_env())
+    second = subprocess.run(argv, capture_output=True, env=package_env())
     assert first.returncode == 0
     assert first.stdout == second.stdout
     assert first.stdout.startswith(b"trial,p,")

@@ -13,6 +13,7 @@ import pytest
 from qwcount.cli import main
 
 FIG2 = ["--n0", "4", "--n1", "3", "--k0", "2", "--k1", "1"]
+K88 = ["--n0", "8", "--n1", "8", "--k0", "3", "--k1", "5"]
 SAMPLED = ["--mode", "sampled", "--trials", "20", "--seed", "42"]
 
 GOLDEN = {
@@ -67,8 +68,15 @@ GOLDEN = {
         ["verify", *FIG2, "--p", "5"],
         "21b1698d78bf532608190a2094a91bf9a390d08c5f2d6d1e67c87f5de613f578"),
     "verify_k88_p8": (
-        ["verify", "--n0", "8", "--n1", "8", "--k0", "3", "--k1", "5", "--p", "8"],
+        ["verify", *K88, "--p", "8"],
         "a9cc2eb47e9542bf00148c5d00c2ac033ca63a0c4565c3be2f8abdb89fbce673"),
+    # Dimension 128 at p = 11: every prefix doubling of the circuit engine.
+    "distribution_circuit_k88_p11": (
+        ["distribution", *K88, "--p", "11", "--engine", "circuit"],
+        "9ae7e47a4c69ce2ab828224ecb9c5b4d2da6654765198bad9315d39ba2ed9cdf"),
+    "verify_k88_p11": (
+        ["verify", *K88, "--p", "11"],
+        "aa5156074b2825e2456c6b7674fa44894905b976a0cc09bdce0acd448df8a790"),
 }
 
 # The default k0 range 0..3 makes n0 = 2, k0 = 3 infeasible: skipped points

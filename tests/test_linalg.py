@@ -230,12 +230,12 @@ def test_empty_matrix_is_rejected():
 
 def test_verify_suite_forms_dense_grams_only_for_coin_and_evolution(dense_grams):
     # Shift, oracle, both part oracles and both 256 x 256 ancilla oracles are
-    # signed permutations; the evolution is checked by the verify suite and
-    # again by the circuit engine.
+    # signed permutations.  The circuit engine reuses the evolution's defect
+    # from the unitarity check, so each operator has one Gram.
     inst = BipartiteInstance.from_counts(8, 8, 3, 5)
     assert verify_suite(inst, 8).all_passed
     coin, evolution = build_coin(inst), build_evolution(inst, build_oracle(inst))
     names = ["coin" if np.array_equal(m, coin) else
              "evolution" if np.array_equal(m, evolution) else f"other {m.shape}"
              for m in dense_grams]
-    assert names == ["coin", "evolution", "evolution"]
+    assert names == ["coin", "evolution"]

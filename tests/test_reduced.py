@@ -22,7 +22,13 @@ from qwcount import (
     unitarity_defect,
 )
 
-from conftest import ArcIndex, arc_to_flat, iter_count_instances, random_instances
+from conftest import (
+    ArcIndex,
+    arc_to_flat,
+    iter_count_instances,
+    kron_invariant_basis,
+    random_instances,
+)
 
 FIG2 = BipartiteInstance(4, 3, frozenset({1, 3}), frozenset({1}))
 
@@ -116,6 +122,13 @@ def test_invariant_basis_matches_literal_loop():
         for got, want in zip(basis.vectors, literal_invariant_basis(inst), strict=True):
             assert (got is None) == (want is None)
             assert got is None or np.array_equal(got, want)
+
+
+def test_invariant_basis_is_bit_equal_to_kron_reference():
+    for inst in list(iter_count_instances(8)) + random_instances(40, 8, seed=22):
+        for got, want in zip(invariant_basis(inst).vectors, kron_invariant_basis(inst), strict=True):
+            assert (got is None) == (want is None)
+            assert got is None or (got.dtype == want.dtype and got.tobytes() == want.tobytes())
 
 
 @pytest.mark.parametrize("inst", list(iter_count_instances(4)) + random_instances(6, 6, seed=5))

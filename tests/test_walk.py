@@ -21,6 +21,8 @@ from conftest import (
     arc_to_flat,
     flat_to_arc,
     iter_count_instances,
+    kron_coin,
+    kron_shift,
     literal_evolution,
     literal_plus_restriction,
     random_instances,
@@ -105,6 +107,20 @@ def test_coin_block_values():
     assert np.abs(coin[:3, :3] - expected).max() == 0.0
     # Off-block entries for a different tail vanish.
     assert np.abs(coin[:3, 3:6]).max() == 0.0
+
+
+def test_shift_and_coin_equal_their_kron_forms():
+    # Degree-1 vertices (n0 or n1 = 1) included.  The coin's off-block
+    # zeros are all +0.0 where the Kronecker product gives 0.0 times a
+    # negative entry, -0.0; the values are equal.
+    for n0 in range(1, 9):
+        for n1 in range(1, 9):
+            inst = BipartiteInstance(n0, n1)
+            shift, coin = build_shift(inst), build_coin(inst)
+            assert shift.dtype == coin.dtype == np.float64
+            assert np.array_equal(shift, kron_shift(inst)), (n0, n1)
+            assert np.array_equal(coin, kron_coin(inst)), (n0, n1)
+            assert not np.signbit(coin[coin == 0]).any()
 
 
 @pytest.mark.parametrize("inst", INSTANCES)
