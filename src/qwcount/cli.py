@@ -9,11 +9,14 @@ suite on one instance).
 Each command returns its table as blocks of columns: a numpy array, a list,
 one scalar repeated on every row, or a ``(values, codes)`` pair.  :func:`emit`,
 the one writer for every command, formats the distinct values of a numeric
-column, or a pair's values, with one ``%`` operation and writes each block
-before it takes the next.  The exact ``count --part both`` table, ``4^p``
-rows, comes in blocks of at most ``_BLOCK_ROWS`` rows (per-part columns as
-pairs formatted once per table), is never held whole, and is limited to
-:data:`MAX_JOINT_ROWS` rows (``p <= 10``).
+column (a strictly increasing one without sorting it), or a pair's values,
+with one ``%`` operation and writes each block before it takes the next.  The
+exact ``count --part both`` table, ``4^p`` rows, comes in blocks of at most
+``_BLOCK_ROWS`` rows (per-part columns as pairs formatted once per table), is
+never held whole, and is limited to :data:`MAX_JOINT_ROWS` rows (``p <= 10``).
+
+:func:`main` parses with one parser per process, built on its first call, so
+in-process callers pay for the argparse tree once.
 
 Exit codes: 0 success, 1 invalid input or I/O failure, 2 verification or
 threshold failure.  Floating values are printed with 17 significant digits
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import logging
@@ -131,6 +135,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's parser, built on first use: the tree depends on no argument of main.
+_parser = functools.cache(build_parser)
+
+
 def _parse_vertex_list(text: str, name: str) -> frozenset[int]:
     try:
         return frozenset(int(item) for item in text.split(",") if item.strip())
@@ -186,13 +194,16 @@ def _format_numbers(values: np.ndarray) -> list[str]:
 def _cells(column, as_json: bool, formatted: dict):
     """A column's cells as a list of strings, or one string for a scalar column.
 
-    A numeric array is deduplicated on its bits (``0.0`` and ``-0.0`` stay
+    A strictly increasing numeric array holds distinct values and is formatted
+    as it is; any other is deduplicated on its bits (``0.0`` and ``-0.0`` stay
     apart), so each distinct value is formatted once.  A ``(values, codes)``
     pair gathers from ``formatted[id(values)]``, ``(values, strings)``.
     """
     if isinstance(column, tuple):
         return formatted[id(column[0])][1][column[1]].tolist()
     if isinstance(column, np.ndarray) and column.dtype.kind in "fiu":
+        if (column[1:] > column[:-1]).all():
+            return _format_numbers(column)
         bits, inverse = np.unique(column.view(f"u{column.itemsize}"), return_inverse=True)
         if bits.size == column.size:
             return _format_numbers(column)
@@ -420,9 +431,8 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(message)s")
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         blocks, fieldnames, status = _COMMANDS[args.command](args)
         emit(blocks, fieldnames, args.format or "csv", args.output)
         return status

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import dataclasses
@@ -802,3 +803,82 @@ def test_joint_table_memory_does_not_grow_with_rows(tmp_path):
     small = _joint_table_peak(8, tmp_path / "p8.csv")
     large = _joint_table_peak(10, tmp_path / "p10.csv")
     assert large - small < 2**19
+
+
+def test_shared_parser_leaks_no_state_between_calls(capsys, monkeypatch, tmp_path):
+    config = tmp_path / "sweep.cfg"
+    config.write_text("n0 = 2\nn1 = 2\nk0 = 1\nk1 = 0\np = 4\nformat = json\n")
+    sequence = [["count", *FIG2_ARGS, "--p", "4", "--bogus"],
+                ["count", "--n1", "3", "--p", "4"],
+                ["distribution", *FIG2_ARGS, "--p", "3", "--engine", "quantum"],
+                ["sweep", "--config", str(config)],
+                ["count", *FIG2_ARGS, "--p", "3", "--part", "0"],
+                ["verify", *FIG2_ARGS, "--p", "3"],
+                ["verify", *FIG2_ARGS]]
+    run_cli(capsys, "spectrum", *FIG2_ARGS)  # the process's parser exists from here on
+    built = []
+    init = cli._Parser.__init__
+    monkeypatch.setattr(cli._Parser, "__init__",
+                        lambda self, *args, **kwargs: built.append(1) or init(self, *args, **kwargs))
+    shared = [run_cli(capsys, *argv) for argv in sequence]
+    assert built == []
+    monkeypatch.setattr(cli, "_parser", build_parser)
+    fresh = [run_cli(capsys, *argv) for argv in sequence]
+    assert len(built) == 6 * len(sequence)  # the parser and its five commands
+    assert shared == fresh
+    assert [status for status, _, _ in shared[:3]] == [1, 1, 1]
+    assert json.loads(shared[3][1])[0]["n0"] == 2
+    assert shared[4][1].startswith(",".join(PART_COUNT_FIELDS) + "\n")
+    assert [status for status, _, _ in shared[3:]] == [0, 0, 0, 0]
+
+
+def test_build_parser_returns_a_new_independent_parser(capsys):
+    first, second = build_parser(), build_parser()
+    assert first is not second
+    assert cli._parser() not in (first, second)
+    # A command's own defaults override the top level's, so set both.
+    first.set_defaults(format="json")
+    [commands] = [a for a in first._actions if isinstance(a, argparse._SubParsersAction)]
+    for command in commands.choices.values():
+        command.set_defaults(format="json")
+    assert first.parse_args(["spectrum", *FIG2_ARGS]).format == "json"
+    assert second.parse_args(["spectrum", *FIG2_ARGS]).format is None
+    status, out, _ = run_cli(capsys, "spectrum", *FIG2_ARGS)
+    assert status == 0
+    assert out.startswith(",".join(SPECTRUM_FIELDS) + "\n")
+
+
+INCREASING_COLUMNS = [
+    np.array([-np.inf, -1e300, -5e-324, 0.0, 5e-324, 0.1, 1.0, np.inf]),
+    np.arange(3000) / 7,
+    np.array([np.iinfo(np.int64).min, -1, 0, 1, 2**62, np.iinfo(np.int64).max]),
+    np.array([0, 1, 2**63 - 1, 2**63, 2**63 + 12345, 2**64 - 1], dtype=np.uint64),
+]
+UNORDERED_COLUMNS = [
+    np.array([0.0, 0.1, 0.1, 0.2]),  # equal neighbours
+    np.array([-1.0, -0.0, 0.0, 1.0]),  # -0.0 == 0.0 with other bits
+    np.array([0.0, np.nan, 1.0]),
+    np.array([np.nan, 1.0, 2.0]),
+    np.array([1.0, 2.0, 5.0, 4.0, 3.0, 6.0]),  # a decreasing run
+    np.array([2**64 - 1, 2**63, 2**63 - 1], dtype=np.uint64),
+    np.array([0, 5, 5, 6], dtype=np.int64),
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_strictly_increasing_columns_skip_the_sort(capsys, monkeypatch, fmt):
+    as_json = fmt == "json"
+    sorted_sizes = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique",
+                        lambda values, **kwargs: sorted_sizes.append(values.size) or unique(values, **kwargs))
+    fieldnames = ("value", "label")
+    for increasing, columns in ((True, INCREASING_COLUMNS), (False, UNORDERED_COLUMNS)):
+        for column in columns:
+            sorted_sizes.clear()
+            cells = cli._cells(column, as_json, {})
+            assert cells == [cli._format_scalar(value, as_json) for value in column]
+            assert sorted_sizes == ([] if increasing else [column.size])
+            blocks = [{"value": column, "label": "x"}]
+            emit(blocks, fieldnames, fmt, None)
+            assert capsys.readouterr().out == ref_render(_rows_of(blocks, fieldnames), fieldnames, fmt)
