@@ -122,7 +122,7 @@ def _length(values) -> int:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Grid of instances and register sizes to check, plus output options.
+    """Grid of instances and register sizes to check, and the checks to run.
 
     A value list may be given as a ``range``; the grid is sized against
     :data:`MAX_SWEEP_POINTS` before any list is expanded into a tuple.
@@ -134,7 +134,6 @@ class SweepConfig:
     k1_values: tuple[int, ...]
     p_values: tuple[int, ...]
     checks: tuple[str, ...] = ("partial", "total")
-    output_format: str = "csv"
 
     def __post_init__(self):
         points = math.prod(_length(getattr(self, name)) for name in _GRID_FIELDS)
@@ -155,8 +154,6 @@ class SweepConfig:
             raise ValueError(f"unknown checks: {sorted(unknown)}")
         if len(self.checks) == 0:
             raise ValueError("at least one check must be enabled")
-        if self.output_format not in ("csv", "json"):
-            raise ValueError(f"output format must be csv or json, got {self.output_format!r}")
 
 
 def _parse_int_values(text: str, key: str) -> range | tuple[int, ...]:
@@ -198,7 +195,7 @@ def parse_sweep_config(text: str) -> SweepConfig:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
         values[key] = value.strip()
 
-    known = {"n0", "n1", "k0", "k1", "p", "checks", "format"}
+    known = {"n0", "n1", "k0", "k1", "p", "checks"}
     unknown = set(values) - known
     if unknown:
         raise ValueError(f"unknown configuration keys: {sorted(unknown)}")
@@ -212,7 +209,7 @@ def parse_sweep_config(text: str) -> SweepConfig:
     k1 = _parse_int_values(values["k1"], "k1") if "k1" in values else range(_largest(n1) + 1)
     p = _parse_int_values(values["p"], "p")
     checks = tuple(c.strip() for c in values.get("checks", "partial,total").split(",") if c.strip())
-    return SweepConfig(n0, n1, k0, k1, p, checks, values.get("format", "csv"))
+    return SweepConfig(n0, n1, k0, k1, p, checks)
 
 
 def load_sweep_config(path) -> SweepConfig:

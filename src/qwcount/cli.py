@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -147,20 +148,17 @@ def _parse_vertex_list(text: str, name: str) -> frozenset[int]:
 
 
 def _instance_from_args(args) -> BipartiteInstance:
-    marked = []
-    for part, count, listed in ((0, args.k0, args.marked0), (1, args.k1, args.marked1)):
-        if count is not None and listed is not None:
+    """The canonical instance of the counts, checked before any set is built,
+    with each explicit ``--markedJ`` list put in place of its part's set."""
+    listed = {}
+    for part, count, text in ((0, args.k0, args.marked0), (1, args.k1, args.marked1)):
+        if count is not None and text is not None:
             raise UsageError(f"--k{part} and --marked{part} are mutually exclusive")
-        if listed is not None:
-            marked.append(_parse_vertex_list(listed, f"marked{part}"))
-        elif count is not None:
-            if count < 0:
-                raise UsageError(f"--k{part} must be nonnegative, got {count}")
-            marked.append(frozenset(range(count)))
-        else:
-            marked.append(frozenset())
+        if text is not None:
+            listed[f"marked{part}"] = _parse_vertex_list(text, f"marked{part}")
     try:
-        return BipartiteInstance(args.n0, args.n1, marked[0], marked[1])
+        inst = BipartiteInstance.from_counts(args.n0, args.n1, args.k0 or 0, args.k1 or 0)
+        return dataclasses.replace(inst, **listed) if listed else inst
     except ValueError as exc:
         raise UsageError(str(exc))
 
@@ -402,8 +400,6 @@ def _cmd_sweep(args):
     records = run_sweep(cfg)
     columns = {name: [getattr(r, name) for r in records] for name in SweepRecord.FIELD_ORDER}
     status = 0 if all(record.all_passed() for record in records) else 2
-    if args.format is None:
-        args.format = cfg.output_format
     return [columns], SweepRecord.FIELD_ORDER, status
 
 

@@ -331,13 +331,14 @@ def grover_mixture(n: int, k: int) -> EigenphaseMixture:
 
     The uniform state splits evenly over the two rotation eigenvectors, so the
     phases ``±theta`` with ``sin²(theta/2) = k/n`` carry weight 1/2 each.
+    ``theta`` is :func:`~qwcount.reduced.part_angle`, the walk's part angle,
+    so a walk part and Grover search read the same float for ``k/n``.
     """
     if n < 1:
         raise ValueError(f"search space size must be at least 1, got {n}")
     if not 0 <= k <= n:
         raise ValueError(f"marked count {k} out of range for n={n}")
-    theta = 2.0 * math.asin(math.sqrt(k / n))
-    return EigenphaseMixture([theta], [[0.5, 0.5]])
+    return EigenphaseMixture([part_angle(k, n)], [[0.5, 0.5]])
 
 
 def grover_count(p: int, n: int, k: int, mode: str = "exact",

@@ -28,7 +28,7 @@ import numpy as np
 
 from .linalg import as_matrix
 from .phase_estimation import TWO_PI, EigenphaseMixture
-from .walk import BipartiteInstance
+from .walk import BipartiteInstance, _arc_marks
 
 __all__ = [
     "BASIS_LABELS",
@@ -47,12 +47,7 @@ __all__ = [
     "eigenphase_table",
 ]
 
-_LABEL_PAIRS = (
-    ("K0", "K1"), ("K0", "K1c"), ("K0c", "K1"), ("K0c", "K1c"),
-    ("K1", "K0"), ("K1", "K0c"), ("K1c", "K0"), ("K1c", "K0c"),
-)
-
-BASIS_LABELS = tuple(f"{tail},{head}" for tail, head in _LABEL_PAIRS)
+BASIS_LABELS = ("K0,K1", "K0,K1c", "K0c,K1", "K0c,K1c", "K1,K0", "K1,K0c", "K1c,K0", "K1c,K0c")
 
 EIGENPHASE_LABELS = (
     "+mu", "-mu", "+(pi-mu)", "-(pi-mu)",
@@ -111,28 +106,18 @@ class InvariantBasis:
 def invariant_basis(inst: BipartiteInstance) -> InvariantBasis:
     """Uniform superpositions over the eight (tail class, head class) arc sets.
 
-    A direction-0 arc ``(u, v)`` sits at ``u*n1 + v`` in the first half, so
-    its class vector is ``kron(tail mask on V0, head mask on V1)`` there,
-    written as the raveled outer product; a direction-1 arc has its tail in
-    V1 and sits at the same offset in the second half, so the factors swap.
+    Each arc's class index is ``4·direction + 2·(tail unmarked) + (head
+    unmarked)``, the :data:`BASIS_LABELS` order; a class vector is its
+    indicator scaled by ``1/sqrt(class size)``.
     """
-    marked0, marked1 = np.zeros(inst.n0, dtype=bool), np.zeros(inst.n1, dtype=bool)
-    marked0[list(inst.marked0)] = marked1[list(inst.marked1)] = True
-    masks = {"K0": marked0, "K0c": ~marked0, "K1": marked1, "K1c": ~marked1}
-    half = inst.num_edges
+    direction, tail, head = _arc_marks(inst)
+    classes = 4 * direction + 2 * ~tail + ~head
     vectors = []
-    for tail, head in _LABEL_PAIRS:
-        tails, heads = masks[tail], masks[head]
-        size = int(tails.sum()) * int(heads.sum())
+    for index, size in enumerate(np.bincount(classes, minlength=8)):
         if size == 0:
             vectors.append(None)
             continue
-        vec = np.zeros(inst.dim)
-        if tail.startswith("K0"):
-            vec[:half] = np.outer(tails, heads).ravel()
-        else:
-            vec[half:] = np.outer(heads, tails).ravel()
-        vec *= 1.0 / math.sqrt(size)
+        vec = (classes == index) * (1.0 / math.sqrt(size))
         vec.setflags(write=False)
         vectors.append(vec)
     return InvariantBasis(BASIS_LABELS, tuple(vectors))

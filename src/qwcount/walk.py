@@ -63,8 +63,9 @@ class BipartiteInstance:
 
     @classmethod
     def from_counts(cls, n0: int, n1: int, k0: int, k1: int) -> "BipartiteInstance":
-        """Instance with the canonical marked sets ``{0..k0-1}`` and ``{0..k1-1}``."""
-        if not (0 <= k0 <= n0 and 0 <= k1 <= n1):
+        """Instance with the canonical marked sets ``{0..k0-1}`` and ``{0..k1-1}``,
+        whose counts are checked before either set is built."""
+        if not (0 <= k0 <= max(n0, 0) and 0 <= k1 <= max(n1, 0)):  # n < 1: __post_init__ says so
             raise ValueError(f"marked counts ({k0}, {k1}) out of range for K_({n0},{n1})")
         return cls(n0, n1, frozenset(range(k0)), frozenset(range(k1)))
 
@@ -133,6 +134,13 @@ def _oracle_signs(inst: BipartiteInstance, parts: tuple[int, ...]) -> np.ndarray
     return signs
 
 
+def _arc_marks(inst: BipartiteInstance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per arc: its direction bit, whether its tail is marked, whether its head is.
+    The head of arc ``a`` is the tail of its reverse ``a ± n0·n1``."""
+    tail, half = _oracle_signs(inst, (0, 1)) < 0, inst.num_edges
+    return np.arange(inst.dim) >= half, tail, np.concatenate((tail[half:], tail[:half]))
+
+
 def build_oracle(inst: BipartiteInstance) -> np.ndarray:
     """Diagonal ±1 oracle: flips the amplitude of arcs whose tail is marked."""
     return np.diag(_oracle_signs(inst, (0, 1)))
@@ -166,10 +174,9 @@ def build_ancilla_oracle(inst: BipartiteInstance, part: int) -> np.ndarray:
     ``part``.  Its ``2·d`` nonzeros are written into one zero-filled array.
     """
     _check_part(part)
-    arcs = np.arange(inst.dim)
-    marked = _oracle_signs(inst, (0, 1)) < 0
-    plain, flipped = 2 * arcs[~marked], 2 * arcs[marked]
-    flip_sign = np.where(arcs[marked] // inst.num_edges == part, -1.0, 1.0)
+    direction, marked, _ = _arc_marks(inst)
+    plain, flipped = 2 * np.flatnonzero(~marked), 2 * np.flatnonzero(marked)
+    flip_sign = np.where(direction[marked] == part, -1.0, 1.0)
     oracle = np.zeros((2 * inst.dim, 2 * inst.dim))
     oracle[plain, plain] = oracle[plain + 1, plain + 1] = 1.0
     oracle[flipped, flipped + 1] = oracle[flipped + 1, flipped] = flip_sign

@@ -92,7 +92,6 @@ def test_parse_sweep_config_ranges_and_lists():
         k1 = 0..1
         p = 4,6
         checks = partial
-        format = json
         """
     )
     assert cfg.n0_values == (2, 3, 4)
@@ -101,7 +100,6 @@ def test_parse_sweep_config_ranges_and_lists():
     assert cfg.k1_values == (0, 1)
     assert cfg.p_values == (4, 6)
     assert cfg.checks == ("partial",)
-    assert cfg.output_format == "json"
 
 
 def test_parse_sweep_config_defaults_k_ranges():
@@ -109,7 +107,6 @@ def test_parse_sweep_config_defaults_k_ranges():
     assert cfg.k0_values == (0, 1, 2, 3)
     assert cfg.k1_values == (0, 1, 2)
     assert cfg.checks == ("partial", "total")
-    assert cfg.output_format == "csv"
 
 
 def test_parse_sweep_config_rejects_unknown_key():
@@ -147,8 +144,6 @@ def test_sweep_config_validation():
         SweepConfig((), (2,), (0,), (0,), (4,))
     with pytest.raises(ValueError):
         SweepConfig((2,), (2,), (0,), (0,), (4,), checks=("bogus",))
-    with pytest.raises(ValueError):
-        SweepConfig((2,), (2,), (0,), (0,), (4,), output_format="xml")
 
 
 def test_run_sweep_single_point_matches_direct_calls():

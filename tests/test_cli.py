@@ -33,7 +33,7 @@ from qwcount.cli import (
 from qwcount.counting import full_count, partial_count
 from qwcount.phase_estimation import circuit_distribution, exact_distribution
 from qwcount.reduced import EIGENPHASE_LABELS, angles_from_instance, eigenphase_table
-from qwcount.walk import build_evolution, build_oracle, uniform_state
+from qwcount.walk import BipartiteInstance, build_evolution, build_oracle, uniform_state
 
 from conftest import package_env
 
@@ -61,6 +61,17 @@ def test_invalid_marked_count_exits_1(capsys):
     status, _, err = run_cli(capsys, "count", "--n0", "4", "--n1", "3", "--k0", "5", "--p", "4")
     assert status == 1
     assert "error" in err
+    # The count is refused before its canonical set {0..k0-1} is built.
+    tracemalloc.start()
+    try:
+        status, _, err = run_cli(capsys, "spectrum", "--n0", "3", "--n1", "3",
+                                 "--k0", "1000000", "--k1", "0")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == 1
+    assert peak < 2**20 and len(err) < 200
+    assert run_cli(capsys, "spectrum", "--n0", "3", "--n1", "3", "--k0", "-1")[0] == 1
 
 
 def test_conflicting_mark_flags_exit_1(capsys):
@@ -84,6 +95,20 @@ def test_spectrum_counts_and_lists_agree(capsys):
     _, by_lists, _ = run_cli(capsys, "spectrum", "--n0", "4", "--n1", "3",
                              "--marked0", "1,3", "--marked1", "1")
     assert by_counts == by_lists
+    _, mixed, _ = run_cli(capsys, "spectrum", "--n0", "4", "--n1", "3", "--k0", "2", "--marked1", "1")
+    assert mixed == by_counts
+
+
+def test_counts_only_command_builds_one_instance(capsys, monkeypatch):
+    built = []
+    post_init = BipartiteInstance.__post_init__
+    monkeypatch.setattr(BipartiteInstance, "__post_init__",
+                        lambda self: built.append(self) or post_init(self))
+    assert run_cli(capsys, "spectrum", *FIG2_ARGS)[0] == 0
+    assert [(i.k0, i.k1) for i in built] == [(2, 1)]
+    built.clear()
+    assert run_cli(capsys, "spectrum", "--n0", "4", "--n1", "3", "--k0", "2", "--marked1", "0")[0] == 0
+    assert [(i.k0, i.k1) for i in built] == [(2, 0), (2, 1)]  # then the listed set in place
 
 
 def test_distribution_header_and_masses(capsys):
@@ -216,8 +241,8 @@ def test_sweep_csv_and_exit_code(capsys, tmp_path):
 
 def test_sweep_json_format(capsys, tmp_path):
     config = tmp_path / "sweep.cfg"
-    config.write_text("n0 = 2\nn1 = 2\nk0 = 1\nk1 = 0\np = 4\nformat = json\n")
-    status, out, _ = run_cli(capsys, "sweep", "--config", str(config))
+    config.write_text("n0 = 2\nn1 = 2\nk0 = 1\nk1 = 0\np = 4\n")
+    status, out, _ = run_cli(capsys, "sweep", "--config", str(config), "--format", "json")
     assert status == 0
     import json
 
@@ -225,6 +250,27 @@ def test_sweep_json_format(capsys, tmp_path):
     assert len(records) == 1
     assert records[0]["n0"] == 2 and records[0]["part0_pass"] is True
     assert set(records[0]) >= {"theta0", "part0_mass", "total_mass", "total_pass"}
+
+
+def test_sweep_config_format_key_is_rejected(capsys, tmp_path):
+    # --format is the one way to choose the output format.
+    config = tmp_path / "sweep.cfg"
+    config.write_text("n0 = 2\nn1 = 2\nk0 = 1\nk1 = 0\np = 4\nformat = json\n")
+    status, out, err = run_cli(capsys, "sweep", "--config", str(config))
+    assert status == 1 and out == ""
+    assert "unknown configuration keys: ['format']" in err
+
+
+def test_commands_leave_the_parsed_arguments_alone(tmp_path):
+    config = tmp_path / "sweep.cfg"
+    config.write_text("n0 = 2\nn1 = 2\nk0 = 1\nk1 = 0\np = 4\n")
+    for argv in (["spectrum", *FIG2_ARGS], ["distribution", *FIG2_ARGS, "--p", "3"],
+                 ["count", *FIG2_ARGS, "--p", "3"], ["sweep", "--config", str(config)],
+                 ["verify", *FIG2_ARGS, "--p", "3"]):
+        args = build_parser().parse_args(argv)
+        before = vars(args).copy()
+        cli._COMMANDS[args.command](args)
+        assert vars(args) == before
 
 
 def test_sweep_threshold_failure_exits_2(capsys, tmp_path):
@@ -807,11 +853,11 @@ def test_joint_table_memory_does_not_grow_with_rows(tmp_path):
 
 def test_shared_parser_leaks_no_state_between_calls(capsys, monkeypatch, tmp_path):
     config = tmp_path / "sweep.cfg"
-    config.write_text("n0 = 2\nn1 = 2\nk0 = 1\nk1 = 0\np = 4\nformat = json\n")
+    config.write_text("n0 = 2\nn1 = 2\nk0 = 1\nk1 = 0\np = 4\n")
     sequence = [["count", *FIG2_ARGS, "--p", "4", "--bogus"],
                 ["count", "--n1", "3", "--p", "4"],
                 ["distribution", *FIG2_ARGS, "--p", "3", "--engine", "quantum"],
-                ["sweep", "--config", str(config)],
+                ["sweep", "--config", str(config), "--format", "json"],
                 ["count", *FIG2_ARGS, "--p", "3", "--part", "0"],
                 ["verify", *FIG2_ARGS, "--p", "3"],
                 ["verify", *FIG2_ARGS]]

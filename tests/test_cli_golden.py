@@ -83,6 +83,9 @@ GOLDEN = {
 # are part of the golden run.
 SWEEP_CONFIG = "n0 = 2..3\nn1 = 2..3\nk1 = 0..1\np = 4,5\n"
 SWEEP_DIGEST = "2339099630993a00babc923cd657bd353e9e0c8c8fded3fa2ca80e575cebff79"
+# The same sweep with --format json: the bytes a config line ``format = json``
+# printed before the config lost its format key.
+SWEEP_JSON_DIGEST = "a63fcafef7efef0cb265bcfe7fc8afbfa1665d113cd28916067b2d4d4405bd2a"
 
 
 def _stdout_sha256(capsys, argv) -> str:
@@ -102,3 +105,10 @@ def test_golden_sweep(capsys, tmp_path):
     config = tmp_path / "sweep.cfg"
     config.write_text(SWEEP_CONFIG)
     assert _stdout_sha256(capsys, ["sweep", "--config", str(config)]) == SWEEP_DIGEST
+
+
+def test_golden_sweep_json(capsys, tmp_path):
+    config = tmp_path / "sweep.cfg"
+    config.write_text(SWEEP_CONFIG)
+    argv = ["sweep", "--config", str(config), "--format", "json"]
+    assert _stdout_sha256(capsys, argv) == SWEEP_JSON_DIGEST

@@ -441,6 +441,26 @@ def test_rounding_is_half_to_even():
     assert round(2.5) == 2 and round(3.5) == 4
 
 
+def _folded_table(dist):
+    """The distinct folded estimates k̃ of a count and the summed mass of each."""
+    support, classes = np.unique(dist.k_est, return_inverse=True)
+    return support, np.bincount(classes, weights=dist.mass)
+
+
+def test_walk_part_count_is_grover_count_one_qubit_down():
+    # The part walk's phase is theta/2 on a register twice Grover's, so both
+    # evaluate the kernel at 2^p·theta/2π − m: the k̃ tables are one
+    # distribution.  With one angle for k/n (part_angle) the masses differ
+    # only by summation order, at most 5.6e-16 when measured.
+    cases = ([(n, k, p) for p in range(2, 13) for n in range(1, 17) for k in range(n + 1)]
+             + [(n, k, p) for p in (16, 19) for n in (17, 32, 64) for k in (1, n // 3, n - 1)])
+    for n, k, p in cases:
+        walk = _folded_table(partial_count(p + 1, BipartiteInstance.from_counts(n, 1, k, 0), 0))
+        grover = _folded_table(grover_count(p, n, k))
+        assert walk[0].tobytes() == grover[0].tobytes(), (n, k, p)
+        assert np.abs(walk[1] - grover[1]).max() <= 2e-15, (n, k, p)
+
+
 def test_grover_mixture_weights():
     mixture = grover_mixture(4, 1)
     assert mixture.phases[0] == pytest.approx(math.pi / 3, abs=1e-12)

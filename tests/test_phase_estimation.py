@@ -178,7 +178,7 @@ def test_orbit_tables_keep_their_flat_phases_and_weights():
                                                   w_sigma, w_sigma, w_pi_sigma, w_pi_sigma])
     for f in fractions:
         grover = grover_mixture(f.denominator, f.numerator)
-        theta = 2.0 * math.asin(math.sqrt(f.numerator / f.denominator))
+        theta = part_angle(f.numerator, f.denominator)
         assert np.array_equal(grover.phases, np.array(members(theta, 2)) % TWO_PI)
         assert np.array_equal(grover.weights, [0.5, 0.5])
     for array in (table.phases, table.weights, grover.phases, grover.weights):
