@@ -18,7 +18,7 @@ from typing import ClassVar
 import numpy as np
 
 from .counting import CountDistribution, FullCountDistribution, full_count, partial_count
-from .linalg import _eigen_residual, _identity_distance, as_matrix, unitarity_defect
+from .linalg import _eigen_residual, _gram_defect, _identity_distance, as_matrix, unitarity_defect
 from .phase_estimation import (
     GOOD_ESTIMATE_PROBABILITY,
     _circuit_marginal,
@@ -26,23 +26,21 @@ from .phase_estimation import (
     total_variation,
 )
 from .reduced import (
+    _reduce_operator,
     angles_from_instance,
     build_reduced_evolution,
     eigenphase_table,
     invariant_basis,
-    reduce_operator,
     spectral_decomposition,
 )
 from .errors import ResourceLimitError
 from .walk import (
     BipartiteInstance,
+    _ancilla_blocks,
+    _oracle_signs,
+    _shift_map,
     _step_from_coin,
-    build_ancilla_oracle,
     build_coin,
-    build_oracle,
-    build_part_oracle,
-    build_shift,
-    restrict_to_plus_ancilla,
     uniform_state,
 )
 
@@ -332,12 +330,48 @@ class VerificationReport:
         return all(c.passed for c in self.checks)
 
 
+def _index_map_defects(index_map: np.ndarray) -> tuple[float, float]:
+    """Unitarity and involution defects of the 0/1 matrix whose row ``a`` holds
+    its 1 in column ``index_map[a]``, exactly as the dense formulas give them:
+    its Gram is ``diag(bincount(index_map))``, and its square is the matrix
+    of ``index_map[index_map]``, which differs from the identity by exactly
+    1 wherever that map moves an index."""
+    arcs = np.arange(len(index_map))
+    unitarity = np.abs(np.bincount(index_map, minlength=len(index_map)) - 1).max()
+    return float(unitarity), 0.0 if np.array_equal(index_map[index_map], arcs) else 1.0
+
+
+def _sign_defect(signs: np.ndarray) -> float:
+    """``max |s² − 1|``: the Gram defect of ``diag(s)``, and its distance from
+    an involution, exactly as the dense products give them."""
+    return float(np.abs(signs * signs - 1).max())
+
+
+def _ancilla_defects(blocks: np.ndarray, part_signs: np.ndarray) -> tuple[float, float]:
+    """Unitarity defect of the block-diagonal matrix of ``blocks``, and the
+    distance of its ``|+⟩``-ancilla restriction from ``diag(part_signs)``,
+    exactly as the dense Gram and the strided restriction give them: block by
+    block, ``B^T B`` and ``((b00 + b01) + (b10 + b11)) / 2``."""
+    gram = blocks.transpose(0, 2, 1) @ blocks
+    gram -= np.eye(2)
+    restriction = 0.5 * ((blocks[:, 0, 0] + blocks[:, 0, 1]) + (blocks[:, 1, 0] + blocks[:, 1, 1]))
+    return float(np.abs(gram).max()), float(np.abs(restriction - part_signs).max())
+
+
 def verify_suite(inst: BipartiteInstance, p: int, *,
                  oracle: np.ndarray | None = None) -> VerificationReport:
     """Run every structural and statistical check on one instance.
 
     ``oracle`` overrides the constructed oracle (used as a negative control:
     a single wrong sign must fail the invariance or reconciliation checks).
+
+    The shift, the oracle, the part oracles and the ancilla oracles are
+    checked on the structure :mod:`qwcount.walk` builds them from (an index
+    map, ±1 sign vectors, one 2x2 block per arc), and each of their rows
+    reports the value the dense formula would give.  The oracle's step is
+    the shifted coin with its columns scaled by the signs.  The coin, the
+    step, the invariant reduction and the circuit stay dense, as does every
+    row the ``oracle`` override touches.
 
     Raises
     ------
@@ -352,35 +386,43 @@ def verify_suite(inst: BipartiteInstance, p: int, *,
     def check_max(name: str, value: float, limit: float) -> None:
         checks.append(CheckResult(name, float(value), limit, "max", float(value) <= limit))
 
-    shift = build_shift(inst)
-    coin = build_coin(inst)
-    oracle_matrix = build_oracle(inst) if oracle is None else as_matrix(oracle)
-    part_oracles = {j: build_part_oracle(inst, j) for j in (0, 1)}
-    ancilla_oracles = {j: build_ancilla_oracle(inst, j) for j in (0, 1)}
-    evolution = _step_from_coin(inst, coin, oracle_matrix)
+    coin, shift_map = build_coin(inst), _shift_map(inst)
+    part_signs = {j: _oracle_signs(inst, (j,)) for j in (0, 1)}
+    ancilla = {j: _ancilla_defects(_ancilla_blocks(inst, j), part_signs[j]) for j in (0, 1)}
+    part_product = part_signs[0] * part_signs[1]
+    if oracle is None:
+        signs = _oracle_signs(inst, (0, 1))
+        evolution = coin[shift_map]
+        evolution *= signs
+        oracle_unitarity = oracle_involution = _sign_defect(signs)
+        product_defect = np.abs(part_product - signs).max()
+    else:
+        oracle_matrix = as_matrix(oracle)
+        evolution = _step_from_coin(inst, coin, oracle_matrix)
+        oracle_unitarity = unitarity_defect(oracle_matrix)
+        oracle_involution = _identity_distance(oracle_matrix @ oracle_matrix)
+        product_defect = np.abs(np.diag(part_product) - oracle_matrix).max()
+    shift_unitarity, shift_involution = _index_map_defects(shift_map)
 
-    check_max("unitarity_shift", unitarity_defect(shift), _STRUCTURAL_TOL)
-    check_max("unitarity_coin", unitarity_defect(coin), _STRUCTURAL_TOL)
-    check_max("unitarity_oracle", unitarity_defect(oracle_matrix), _STRUCTURAL_TOL)
+    check_max("unitarity_shift", shift_unitarity, _STRUCTURAL_TOL)
+    check_max("unitarity_coin", _gram_defect(coin), _STRUCTURAL_TOL)
+    check_max("unitarity_oracle", oracle_unitarity, _STRUCTURAL_TOL)
     for j in (0, 1):
-        check_max(f"unitarity_part_oracle_{j}", unitarity_defect(part_oracles[j]), _STRUCTURAL_TOL)
-        check_max(f"unitarity_ancilla_oracle_{j}", unitarity_defect(ancilla_oracles[j]), _STRUCTURAL_TOL)
-    evolution_defect = unitarity_defect(evolution)
+        check_max(f"unitarity_part_oracle_{j}", _sign_defect(part_signs[j]), _STRUCTURAL_TOL)
+        check_max(f"unitarity_ancilla_oracle_{j}", ancilla[j][0], _STRUCTURAL_TOL)
+    evolution_defect = _gram_defect(evolution)
     check_max("unitarity_evolution", evolution_defect, _STRUCTURAL_TOL)
 
-    check_max("involution_shift", _identity_distance(shift @ shift), _IDENTITY_TOL)
+    check_max("involution_shift", shift_involution, _IDENTITY_TOL)
     check_max("involution_coin", _identity_distance(coin @ coin), _IDENTITY_TOL)
-    check_max("involution_oracle", _identity_distance(oracle_matrix @ oracle_matrix), _IDENTITY_TOL)
-    check_max("part_oracle_product",
-              np.abs(part_oracles[0] @ part_oracles[1] - oracle_matrix).max(), _IDENTITY_TOL)
+    check_max("involution_oracle", oracle_involution, _IDENTITY_TOL)
+    check_max("part_oracle_product", product_defect, _IDENTITY_TOL)
     for j in (0, 1):
-        check_max(f"ancilla_restriction_{j}",
-                  np.abs(restrict_to_plus_ancilla(ancilla_oracles[j]) - part_oracles[j]).max(),
-                  _IDENTITY_TOL)
+        check_max(f"ancilla_restriction_{j}", ancilla[j][1], _IDENTITY_TOL)
 
     basis = invariant_basis(inst)
     angles = angles_from_instance(inst)
-    projected, leakage = reduce_operator(evolution, basis)
+    projected, leakage = _reduce_operator(evolution, basis.matrix())
     check_max("invariant_leakage", leakage, _STRUCTURAL_TOL)
     present = basis.present_indices()
     reduced_matrix = build_reduced_evolution(angles)

@@ -15,13 +15,16 @@ Distances from the identity are taken on a fresh product in place: 1 is
 subtracted from its diagonal and, for real input, ``abs`` overwrites it, so
 no identity matrix or temporary is allocated.  :func:`unitarity_defect`
 skips the Gram product altogether for a signed permutation (one nonzero per
-row and column, each exactly ±1), the shape of the shift, the oracles and
-the ancilla oracles: every Gram entry of such a matrix is at most one
+row and column, each exactly ±1), the shape of the dense shift, oracles and
+ancilla oracles: every Gram entry of such a matrix is at most one
 ``±1·±1`` product plus exact zeros, so the dense product would be exactly
 the identity and its defect exactly 0.0.
 
-:func:`eigen_residual` validates its input, then calls the private core
-``_eigen_residual``, which the verify suite calls on the reduced step it built.
+:func:`unitarity_defect` and :func:`eigen_residual` validate their input,
+then call the private cores ``_gram_defect`` and ``_eigen_residual``.  The
+verify suite calls the cores on the coin, step and reduced step it built;
+it checks the shift and the oracles on their structure in
+:mod:`qwcount.walk`, with no dense matrix to detect.
 """
 
 from __future__ import annotations

@@ -149,11 +149,19 @@ def reduce_operator(u_full, basis: InvariantBasis) -> tuple[np.ndarray, float]:
     present basis vectors together with the leakage, the largest norm of the
     component of any ``U |b_j⟩`` outside the basis span.  Leakage at rounding
     level certifies that the span really is invariant.
+
+    Input is validated here; the private core ``_reduce_operator`` takes the
+    basis matrix, and the verify suite calls it on the step it built.
     """
     um = as_matrix(u_full)
     b = basis.matrix()
     if um.shape[0] != um.shape[1] or um.shape[0] != b.shape[0]:
         raise ValueError(f"operator shape {um.shape} does not match basis dimension {b.shape[0]}")
+    return _reduce_operator(um, b)
+
+
+def _reduce_operator(um: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
+    """:func:`reduce_operator` of a validated square ``um`` on the basis matrix ``b``."""
     image = um @ b
     projected = b.conj().T @ image
     leakage = float(np.linalg.norm(image - b @ projected, axis=0).max())

@@ -10,6 +10,12 @@ One search step applies the marked-vertex oracle, then the Grover coin at
 every tail vertex, then the arc-reversing shift.  Every entry of these
 operators is real (0, ±1 or ``2/d - δ``), so every builder returns a float64
 array and the step is a real orthogonal matrix.
+
+The exact-integer operators each have one owner that keeps their structure:
+the shift is an index map (:func:`_shift_map`), the oracle and the part
+oracles are ±1 sign vectors (:func:`_oracle_signs`), and the ancilla oracle
+is one 2x2 block per arc (:func:`_ancilla_blocks`).  The verify suite checks
+them in that form; their public builders are dense views of them.
 """
 
 from __future__ import annotations
@@ -95,9 +101,21 @@ class BipartiteInstance:
         return 2 * self.n0 * self.n1
 
 
+def _shift_map(inst: BipartiteInstance) -> np.ndarray:
+    """The flip-flop shift as an index map: ``map[a] = a ± n0·n1``, the reverse of arc ``a``.
+
+    Row ``a`` of the shift holds its one 1 in column ``map[a]``, so the
+    shift applied to a matrix gathers its rows, ``shift @ m == m[map]``.
+    """
+    return np.arange(inst.num_edges, inst.num_edges + inst.dim) % inst.dim
+
+
 def build_shift(inst: BipartiteInstance) -> np.ndarray:
-    """Flip-flop shift ``X ⊗ I``: swaps each arc ``a`` with its reverse ``a ± n0·n1``.  Involution."""
-    return np.eye(inst.dim, k=inst.num_edges) + np.eye(inst.dim, k=-inst.num_edges)
+    """Flip-flop shift ``X ⊗ I``: swaps each arc ``a`` with its reverse ``a ± n0·n1``.  Involution.
+    The dense view of :func:`_shift_map`."""
+    shift = np.zeros((inst.dim, inst.dim))
+    shift[np.arange(inst.dim), _shift_map(inst)] = 1.0
+    return shift
 
 
 def _grover_block(d: int) -> np.ndarray:
@@ -137,8 +155,8 @@ def _oracle_signs(inst: BipartiteInstance, parts: tuple[int, ...]) -> np.ndarray
 def _arc_marks(inst: BipartiteInstance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per arc: its direction bit, whether its tail is marked, whether its head is.
     The head of arc ``a`` is the tail of its reverse ``a ± n0·n1``."""
-    tail, half = _oracle_signs(inst, (0, 1)) < 0, inst.num_edges
-    return np.arange(inst.dim) >= half, tail, np.concatenate((tail[half:], tail[:half]))
+    tail = _oracle_signs(inst, (0, 1)) < 0
+    return np.arange(inst.dim) >= inst.num_edges, tail, tail[_shift_map(inst)]
 
 
 def build_oracle(inst: BipartiteInstance) -> np.ndarray:
@@ -158,6 +176,18 @@ def build_part_oracle(inst: BipartiteInstance, part: int) -> np.ndarray:
     return np.diag(_oracle_signs(inst, (part,)))
 
 
+def _ancilla_blocks(inst: BipartiteInstance, part: int) -> np.ndarray:
+    """The 2x2 ancilla block of each arc, shape ``(dim, 2, 2)``: the identity
+    if the arc's tail is unmarked, ``X`` if it is marked, and ``−X`` if it is
+    marked and the arc's direction is ``part``.  Zeros are ``+0.0``."""
+    _check_part(part)
+    direction, marked, _ = _arc_marks(inst)
+    blocks = np.zeros((inst.dim, 2, 2))
+    blocks[~marked, 0, 0] = blocks[~marked, 1, 1] = 1.0
+    blocks[marked, 0, 1] = blocks[marked, 1, 0] = np.where(direction[marked] == part, -1.0, 1.0)
+    return blocks
+
+
 def build_ancilla_oracle(inst: BipartiteInstance, part: int) -> np.ndarray:
     """Ancilla-circuit realization of the part-restricted oracle.
 
@@ -168,18 +198,15 @@ def build_ancilla_oracle(inst: BipartiteInstance, part: int) -> np.ndarray:
     prepared in ``|+⟩`` this reproduces :func:`build_part_oracle` and returns
     the ancilla to ``|+⟩``.
 
-    The matrix is block-diagonal with one 2x2 block per arc: the identity
-    if the arc's tail is unmarked (the two phase flips cancel), ``X`` if it
-    is marked, and ``−X`` if it is marked and the arc's direction is
-    ``part``.  Its ``2·d`` nonzeros are written into one zero-filled array.
+    The matrix is block-diagonal with one 2x2 block per arc (the two phase
+    flips cancel on an unmarked arc), the dense view of :func:`_ancilla_blocks`:
+    the blocks are written into one zero-filled array through a
+    ``(dim, 2, dim, 2)`` view, at arc = arc'.
     """
-    _check_part(part)
-    direction, marked, _ = _arc_marks(inst)
-    plain, flipped = 2 * np.flatnonzero(~marked), 2 * np.flatnonzero(marked)
-    flip_sign = np.where(direction[marked] == part, -1.0, 1.0)
+    blocks = _ancilla_blocks(inst, part)
     oracle = np.zeros((2 * inst.dim, 2 * inst.dim))
-    oracle[plain, plain] = oracle[plain + 1, plain + 1] = 1.0
-    oracle[flipped, flipped + 1] = oracle[flipped + 1, flipped] = flip_sign
+    arcs = np.arange(inst.dim)
+    oracle.reshape(inst.dim, 2, inst.dim, 2)[arcs, :, arcs, :] = blocks
     return oracle
 
 
@@ -201,9 +228,9 @@ def restrict_to_plus_ancilla(m) -> np.ndarray:
 def build_evolution(inst: BipartiteInstance, oracle) -> np.ndarray:
     """One search step: apply ``oracle`` first, then coin, then shift.
 
-    The shift swaps the two halves of the arc space, so ``shift @ coin`` is
-    the coin with its row halves swapped, exactly; the step is that matrix
-    times ``oracle``, one dense product instead of two.
+    The shift is an index map, so ``shift @ coin`` is the coin with its rows
+    gathered by :func:`_shift_map`, exactly; the step is that matrix times
+    ``oracle``, one dense product instead of two.
     """
     return _step_from_coin(inst, build_coin(inst), oracle)
 
@@ -213,7 +240,7 @@ def _step_from_coin(inst: BipartiteInstance, coin: np.ndarray, oracle) -> np.nda
     om = as_matrix(oracle)
     if om.shape != (inst.dim, inst.dim):
         raise ValueError(f"oracle shape {om.shape} does not match arc dimension {inst.dim}")
-    return np.roll(coin, inst.num_edges, axis=0) @ om
+    return coin[_shift_map(inst)] @ om
 
 
 def uniform_state(inst: BipartiteInstance) -> np.ndarray:

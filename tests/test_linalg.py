@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import qwcount
 from qwcount import (
     BipartiteInstance,
     build_coin,
@@ -158,6 +159,7 @@ def dense_grams(monkeypatch):
         return dense(am)
 
     monkeypatch.setattr(linalg, "_gram_defect", recording)
+    monkeypatch.setattr(qwcount.analysis, "_gram_defect", recording)
     return operands
 
 
@@ -229,9 +231,9 @@ def test_empty_matrix_is_rejected():
 
 
 def test_verify_suite_forms_dense_grams_only_for_coin_and_evolution(dense_grams):
-    # Shift, oracle, both part oracles and both 256 x 256 ancilla oracles are
-    # signed permutations.  The circuit engine reuses the evolution's defect
-    # from the unitarity check, so each operator has one Gram.
+    # Shift, oracle, both part oracles and both ancilla oracles are checked on
+    # their structure, with no Gram.  The circuit engine reuses the
+    # evolution's defect from the unitarity check, so each operator has one.
     inst = BipartiteInstance.from_counts(8, 8, 3, 5)
     assert verify_suite(inst, 8).all_passed
     coin, evolution = build_coin(inst), build_evolution(inst, build_oracle(inst))

@@ -12,8 +12,13 @@ import qwcount
 # (importing module, defining module, name)
 ALLOWED = {
     ("analysis", "linalg", "_eigen_residual"),
+    ("analysis", "linalg", "_gram_defect"),
     ("analysis", "linalg", "_identity_distance"),
     ("analysis", "phase_estimation", "_circuit_marginal"),
+    ("analysis", "reduced", "_reduce_operator"),
+    ("analysis", "walk", "_ancilla_blocks"),
+    ("analysis", "walk", "_oracle_signs"),
+    ("analysis", "walk", "_shift_map"),
     ("analysis", "walk", "_step_from_coin"),
     ("counting", "walk", "_check_part"),
     ("reduced", "walk", "_arc_marks"),

@@ -1,0 +1,234 @@
+"""The verify suite against its dense formulas.
+
+``verify_suite`` checks the shift, the oracles and the ancilla oracles on
+the structure ``walk`` builds them from.  The reference here forms every row
+the dense way, from the public builders: Grams, products and the strided
+``|+⟩`` restriction of the dense matrices.  Each row must agree to the bit,
+and a broken structure must fail its rows with the value the dense matrix
+of that structure gives.
+"""
+
+import numpy as np
+import pytest
+
+from qwcount import (
+    BipartiteInstance,
+    angles_from_instance,
+    build_ancilla_oracle,
+    build_coin,
+    build_evolution,
+    build_oracle,
+    build_part_oracle,
+    build_reduced_evolution,
+    build_shift,
+    circuit_distribution,
+    eigen_residual,
+    eigenphase_table,
+    exact_distribution,
+    full_count,
+    invariant_basis,
+    reduce_operator,
+    restrict_to_plus_ancilla,
+    spectral_decomposition,
+    total_variation,
+    uniform_state,
+    unitarity_defect,
+    verify_suite,
+)
+from qwcount import analysis, linalg, walk
+
+
+def identity_distance(m):
+    return np.abs(m - np.eye(m.shape[0])).max()
+
+
+def dense_operator_rows(inst, oracle=None):
+    """The rows of the arc-space operators, from their dense matrices, and
+    the dense step."""
+    shift, coin = build_shift(inst), build_coin(inst)
+    oracle = build_oracle(inst) if oracle is None else oracle
+    parts = [build_part_oracle(inst, j) for j in (0, 1)]
+    ancillas = [build_ancilla_oracle(inst, j) for j in (0, 1)]
+    rows = {
+        "unitarity_shift": unitarity_defect(shift),
+        "unitarity_coin": unitarity_defect(coin),
+        "unitarity_oracle": unitarity_defect(oracle),
+        "involution_shift": identity_distance(shift @ shift),
+        "involution_coin": identity_distance(coin @ coin),
+        "involution_oracle": identity_distance(oracle @ oracle),
+        "part_oracle_product": np.abs(parts[0] @ parts[1] - oracle).max(),
+    }
+    for j in (0, 1):
+        rows[f"unitarity_part_oracle_{j}"] = unitarity_defect(parts[j])
+        rows[f"unitarity_ancilla_oracle_{j}"] = unitarity_defect(ancillas[j])
+        rows[f"ancilla_restriction_{j}"] = np.abs(
+            restrict_to_plus_ancilla(ancillas[j]) - parts[j]).max()
+    evolution = build_evolution(inst, oracle)
+    rows["unitarity_evolution"] = unitarity_defect(evolution)
+    return rows, evolution
+
+
+def dense_reference_rows(inst, p, oracle=None):
+    """Every verify-suite row, the dense way, through public functions only."""
+    rows, evolution = dense_operator_rows(inst, oracle)
+    basis, angles = invariant_basis(inst), angles_from_instance(inst)
+    projected, rows["invariant_leakage"] = reduce_operator(evolution, basis)
+    present = basis.present_indices()
+    reduced_matrix = build_reduced_evolution(angles)
+    rows["reduced_reconciliation"] = np.abs(
+        projected - reduced_matrix[np.ix_(present, present)]).max()
+    records = spectral_decomposition(angles).records
+    rows["eigen_residual_max"] = max(eigen_residual(reduced_matrix, r.eigenvalue, r.eigenvector)
+                                     for r in records)
+    vectors = np.column_stack([r.eigenvector for r in records])
+    rows["eigenvector_gram_defect"] = identity_distance(vectors.conj().T @ vectors)
+    cos_mu, cos_sigma = np.cos(angles.mu), np.cos(angles.sigma)
+    closed = np.array([(1 + cos_sigma) / 8, (1 - cos_sigma) / 8] * 2
+                      + [(1 + cos_mu) / 8, (1 - cos_mu) / 8] * 2)
+    overlaps = np.array([r.initial_overlap for r in records])
+    rows["overlap_closed_form"] = np.abs(overlaps - closed).max()
+    rows["overlap_sum"] = abs(overlaps.sum() - 1.0)
+    rows["analytic_circuit_tv"] = total_variation(
+        exact_distribution(eigenphase_table(angles), p),
+        circuit_distribution(evolution, uniform_state(inst), p))
+    joint = full_count(p, inst, "exact")
+    for name, dist in (("part0", joint.part0), ("part1", joint.part1)):
+        rows[f"{name}_bound_mass"] = dist.mass_within(dist.bound)
+    rows["total_bound_mass"] = joint.mass_within(joint.bound)
+    return rows
+
+
+def assert_rows_match(report, reference):
+    assert {c.name for c in report.checks} == set(reference)
+    got = {c.name: c.value.hex() for c in report.checks}
+    assert got == {name: float(value).hex() for name, value in reference.items()}
+
+
+def small_instances():
+    for n0 in range(1, 13):
+        for n1 in range(1, 12 // n0 + 1):
+            for k0 in range(n0 + 1):
+                for k1 in range(n1 + 1):
+                    yield BipartiteInstance.from_counts(n0, n1, k0, k1)
+
+
+def corrupt_oracle(inst):
+    oracle = build_oracle(inst)
+    oracle[0, 0] = -oracle[0, 0]
+    return oracle
+
+
+@pytest.mark.parametrize("p", [2, 4])
+def test_every_row_is_bit_equal_to_the_dense_formulas(p):
+    for inst in small_instances():
+        assert_rows_match(verify_suite(inst, p), dense_reference_rows(inst, p))
+
+
+def test_every_row_under_the_corrupt_oracle_is_bit_equal_to_the_dense_formulas():
+    for inst in small_instances():
+        oracle = corrupt_oracle(inst)
+        assert_rows_match(verify_suite(inst, 3, oracle=oracle),
+                          dense_reference_rows(inst, 3, oracle))
+
+
+def test_default_path_neither_validates_nor_detects(monkeypatch):
+    # The suite checks what it built itself: no input coercion, and no
+    # search for a signed permutation in a dense matrix.
+    coerced = []
+    as_finite = linalg._as_finite
+
+    def counting(a, rank, kind):
+        coerced.append(np.shape(a))
+        return as_finite(a, rank, kind)
+
+    def detecting(am):
+        raise AssertionError(f"signed-permutation detection on {am.shape}")
+
+    monkeypatch.setattr(linalg, "_as_finite", counting)
+    monkeypatch.setattr(linalg, "_is_signed_permutation", detecting)
+    assert verify_suite(BipartiteInstance.from_counts(8, 8, 3, 5), 4).all_passed
+    assert coerced == []
+
+
+# Negative controls: each structured helper broken in one place.  The
+# public builders read the same helper, so the dense reference sees the same
+# broken operator.
+
+FIG = BipartiteInstance(3, 4, frozenset({2}), frozenset({1, 3}))
+
+
+@pytest.fixture
+def skipped_circuit(monkeypatch):
+    """Skip the circuit, which refuses a non-unitary step, so the report is returned."""
+    analytic = exact_distribution(eigenphase_table(angles_from_instance(FIG)), 3)
+    monkeypatch.setattr(analysis, "_circuit_marginal", lambda um, vec, p, defect: analytic)
+
+
+def patch_helper(monkeypatch, name, broken):
+    original = getattr(walk, name)
+
+    def patched(*args):
+        return broken(original(*args), *args)
+
+    monkeypatch.setattr(walk, name, patched)
+    monkeypatch.setattr(analysis, name, patched)
+
+
+def assert_rows_fail_as_dense(names):
+    report = {c.name: c for c in verify_suite(FIG, 3).checks}
+    reference, _ = dense_operator_rows(FIG)
+    for name in reference:
+        assert report[name].value.hex() == float(reference[name]).hex(), name
+        assert report[name].passed == (name not in names), name
+
+
+def test_a_repeated_index_in_the_shift_map_fails(monkeypatch, skipped_circuit):
+    def repeated(index_map, inst):
+        index_map[0] = index_map[1]
+        return index_map
+
+    patch_helper(monkeypatch, "_shift_map", repeated)
+    assert_rows_fail_as_dense({"unitarity_shift", "involution_shift", "unitarity_evolution"})
+
+
+def test_a_shift_map_that_is_no_involution_fails(monkeypatch):
+    def cycled(index_map, inst):
+        index_map[[0, 1, 2]] = index_map[[1, 2, 0]]
+        return index_map
+
+    patch_helper(monkeypatch, "_shift_map", cycled)
+    assert_rows_fail_as_dense({"involution_shift"})
+
+
+def test_an_oracle_sign_of_one_half_fails(monkeypatch, skipped_circuit):
+    def halved(signs, inst, parts):
+        if parts == (0, 1):
+            signs[np.flatnonzero(signs > 0)[0]] = 0.5  # an unmarked arc stays unmarked
+        return signs
+
+    patch_helper(monkeypatch, "_oracle_signs", halved)
+    assert_rows_fail_as_dense({"unitarity_oracle", "involution_oracle", "part_oracle_product",
+                               "unitarity_evolution"})
+
+
+@pytest.mark.parametrize("part", [0, 1])
+def test_a_part_oracle_sign_of_one_half_fails(monkeypatch, part):
+    def halved(signs, inst, parts):
+        if parts == (part,):
+            signs[np.flatnonzero(signs > 0)[0]] = 0.5
+        return signs
+
+    patch_helper(monkeypatch, "_oracle_signs", halved)
+    assert_rows_fail_as_dense({f"unitarity_part_oracle_{part}", "part_oracle_product",
+                               f"ancilla_restriction_{part}"})
+
+
+@pytest.mark.parametrize("part", [0, 1])
+def test_an_ancilla_block_holding_two_fails(monkeypatch, part):
+    def doubled(blocks, inst, which):
+        if which == part:
+            blocks[0, 0, 0] = 2.0
+        return blocks
+
+    patch_helper(monkeypatch, "_ancilla_blocks", doubled)
+    assert_rows_fail_as_dense({f"unitarity_ancilla_oracle_{part}", f"ancilla_restriction_{part}"})
