@@ -11,7 +11,6 @@ from .walk import (
     build_oracle,
     build_part_oracle,
     build_shift,
-    restrict_to_plus_ancilla,
     uniform_state,
 )
 from .reduced import (

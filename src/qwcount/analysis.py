@@ -18,7 +18,7 @@ from typing import ClassVar
 import numpy as np
 
 from .counting import CountDistribution, FullCountDistribution, full_count, partial_count
-from .linalg import _eigen_residual, _gram_defect, _identity_distance, as_matrix, unitarity_defect
+from .linalg import _eigen_residual, _gram_defect, _identity_distance
 from .phase_estimation import (
     GOOD_ESTIMATE_PROBABILITY,
     _circuit_marginal,
@@ -37,9 +37,10 @@ from .errors import ResourceLimitError
 from .walk import (
     BipartiteInstance,
     _ancilla_blocks,
+    _arc_marks,
+    _as_oracle,
     _oracle_signs,
     _shift_map,
-    _step_from_coin,
     build_coin,
     uniform_state,
 )
@@ -113,11 +114,6 @@ def joint_success_mass(inst: BipartiteInstance, p: int) -> BoundReport:
 _GRID_FIELDS = ("n0_values", "n1_values", "k0_values", "k1_values", "p_values")
 
 
-def _length(values) -> int:
-    """Number of values; a parsed ``lo..hi`` range is counted without expanding it."""
-    return values.stop - values.start if isinstance(values, range) else len(values)
-
-
 @dataclass(frozen=True)
 class SweepConfig:
     """Grid of instances and register sizes to check, and the checks to run.
@@ -134,7 +130,10 @@ class SweepConfig:
     checks: tuple[str, ...] = ("partial", "total")
 
     def __post_init__(self):
-        points = math.prod(_length(getattr(self, name)) for name in _GRID_FIELDS)
+        try:
+            points = math.prod(len(getattr(self, name)) for name in _GRID_FIELDS)
+        except OverflowError:  # len() of a range longer than sys.maxsize
+            points = math.inf
         if points > MAX_SWEEP_POINTS:
             raise ResourceLimitError(
                 f"sweep limited to {MAX_SWEEP_POINTS} candidate grid points, got {points}")
@@ -347,6 +346,15 @@ def _sign_defect(signs: np.ndarray) -> float:
     return float(np.abs(signs * signs - 1).max())
 
 
+def _override_signs(inst: BipartiteInstance, oracle) -> np.ndarray:
+    """The diagonal of an ``oracle`` override, which must be a real diagonal matrix."""
+    om = _as_oracle(inst, oracle)
+    signs = np.diagonal(om)
+    if om.dtype.kind == "c" or np.count_nonzero(om) != np.count_nonzero(signs):
+        raise ValueError("oracle override must be a real diagonal matrix")
+    return signs
+
+
 def _ancilla_defects(blocks: np.ndarray, part_signs: np.ndarray) -> tuple[float, float]:
     """Unitarity defect of the block-diagonal matrix of ``blocks``, and the
     distance of its ``|+⟩``-ancilla restriction from ``diag(part_signs)``,
@@ -364,19 +372,22 @@ def verify_suite(inst: BipartiteInstance, p: int, *,
 
     ``oracle`` overrides the constructed oracle (used as a negative control:
     a single wrong sign must fail the invariance or reconciliation checks).
+    It must be a real diagonal matrix, and its diagonal is read as the
+    oracle's signs.
 
     The shift, the oracle, the part oracles and the ancilla oracles are
     checked on the structure :mod:`qwcount.walk` builds them from (an index
-    map, ±1 sign vectors, one 2x2 block per arc), and each of their rows
+    map, sign vectors, one 2x2 block per arc), and each of their rows
     reports the value the dense formula would give.  The oracle's step is
     the shifted coin with its columns scaled by the signs.  The coin, the
-    step, the invariant reduction and the circuit stay dense, as does every
-    row the ``oracle`` override touches.
+    step, the invariant reduction and the circuit stay dense.
 
     Raises
     ------
     ResourceLimitError
         If the instance has more than :data:`MAX_FULL_SPACE_EDGES` edges.
+    ValueError
+        If ``oracle`` is not a real diagonal matrix of the arc dimension.
     """
     if inst.num_edges > MAX_FULL_SPACE_EDGES:
         raise ResourceLimitError(
@@ -386,27 +397,19 @@ def verify_suite(inst: BipartiteInstance, p: int, *,
     def check_max(name: str, value: float, limit: float) -> None:
         checks.append(CheckResult(name, float(value), limit, "max", float(value) <= limit))
 
+    marks = _arc_marks(inst)
+    signs = _oracle_signs(marks) if oracle is None else _override_signs(inst, oracle)
+    part_signs = {j: _oracle_signs(marks, j) for j in (0, 1)}
+    ancilla = {j: _ancilla_defects(_ancilla_blocks(marks, j), part_signs[j]) for j in (0, 1)}
     coin, shift_map = build_coin(inst), _shift_map(inst)
-    part_signs = {j: _oracle_signs(inst, (j,)) for j in (0, 1)}
-    ancilla = {j: _ancilla_defects(_ancilla_blocks(inst, j), part_signs[j]) for j in (0, 1)}
-    part_product = part_signs[0] * part_signs[1]
-    if oracle is None:
-        signs = _oracle_signs(inst, (0, 1))
-        evolution = coin[shift_map]
-        evolution *= signs
-        oracle_unitarity = oracle_involution = _sign_defect(signs)
-        product_defect = np.abs(part_product - signs).max()
-    else:
-        oracle_matrix = as_matrix(oracle)
-        evolution = _step_from_coin(inst, coin, oracle_matrix)
-        oracle_unitarity = unitarity_defect(oracle_matrix)
-        oracle_involution = _identity_distance(oracle_matrix @ oracle_matrix)
-        product_defect = np.abs(np.diag(part_product) - oracle_matrix).max()
+    evolution = coin[shift_map]
+    evolution *= signs
     shift_unitarity, shift_involution = _index_map_defects(shift_map)
+    oracle_defect = _sign_defect(signs)
 
     check_max("unitarity_shift", shift_unitarity, _STRUCTURAL_TOL)
     check_max("unitarity_coin", _gram_defect(coin), _STRUCTURAL_TOL)
-    check_max("unitarity_oracle", oracle_unitarity, _STRUCTURAL_TOL)
+    check_max("unitarity_oracle", oracle_defect, _STRUCTURAL_TOL)
     for j in (0, 1):
         check_max(f"unitarity_part_oracle_{j}", _sign_defect(part_signs[j]), _STRUCTURAL_TOL)
         check_max(f"unitarity_ancilla_oracle_{j}", ancilla[j][0], _STRUCTURAL_TOL)
@@ -415,8 +418,9 @@ def verify_suite(inst: BipartiteInstance, p: int, *,
 
     check_max("involution_shift", shift_involution, _IDENTITY_TOL)
     check_max("involution_coin", _identity_distance(coin @ coin), _IDENTITY_TOL)
-    check_max("involution_oracle", oracle_involution, _IDENTITY_TOL)
-    check_max("part_oracle_product", product_defect, _IDENTITY_TOL)
+    check_max("involution_oracle", oracle_defect, _IDENTITY_TOL)
+    check_max("part_oracle_product", np.abs(part_signs[0] * part_signs[1] - signs).max(),
+              _IDENTITY_TOL)
     for j in (0, 1):
         check_max(f"ancilla_restriction_{j}", ancilla[j][1], _IDENTITY_TOL)
 

@@ -13,18 +13,13 @@ eigenpairs come from closed forms and are checked with
 
 Distances from the identity are taken on a fresh product in place: 1 is
 subtracted from its diagonal and, for real input, ``abs`` overwrites it, so
-no identity matrix or temporary is allocated.  :func:`unitarity_defect`
-skips the Gram product altogether for a signed permutation (one nonzero per
-row and column, each exactly ±1), the shape of the dense shift, oracles and
-ancilla oracles: every Gram entry of such a matrix is at most one
-``±1·±1`` product plus exact zeros, so the dense product would be exactly
-the identity and its defect exactly 0.0.
+no identity matrix or temporary is allocated.
 
 :func:`unitarity_defect` and :func:`eigen_residual` validate their input,
 then call the private cores ``_gram_defect`` and ``_eigen_residual``.  The
 verify suite calls the cores on the coin, step and reduced step it built;
 it checks the shift and the oracles on their structure in
-:mod:`qwcount.walk`, with no dense matrix to detect.
+:mod:`qwcount.walk`, with no dense matrix.
 """
 
 from __future__ import annotations
@@ -94,39 +89,15 @@ def _gram_defect(am: np.ndarray) -> float:
     return _identity_distance(am.conj().T @ am)
 
 
-def _is_signed_permutation(am: np.ndarray) -> bool:
-    """Whether the square ``am`` has one nonzero per row and per column, each exactly ±1.
-
-    With ``n`` nonzeros in all, a ±1 first nonzero in every row leaves one
-    per row, and distinct columns for those leave one per column.
-    """
-    n = am.shape[0]
-    nonzero = am != 0
-    if np.count_nonzero(nonzero) != n:
-        return False
-    cols = nonzero.argmax(axis=1)
-    values = am[np.arange(n), cols]
-    if not np.all((values == 1) | (values == -1)):
-        return False
-    return np.count_nonzero(np.bincount(cols, minlength=n)) == n
-
-
 def unitarity_defect(a) -> float:
     """Maximum entrywise deviation of ``a† a`` from the identity.
 
     Zero for exactly unitary matrices; values below 1e-10 are treated as
-    unitary throughout the package.  A signed permutation (one nonzero per
-    row and per column, each exactly ±1, real or ±1+0j) returns 0.0 without
-    forming the Gram: each Gram entry is one ``±1·±1`` product or none,
-    plus exact zeros, so the dense product is exactly the identity in
-    floating point and 0.0 is the value it would give.  Every other matrix
-    takes the dense Gram.
+    unitary throughout the package.
     """
     am = as_matrix(a)
     if am.shape[0] != am.shape[1]:
         raise ValueError(f"unitarity requires a square matrix, got {am.shape}")
-    if _is_signed_permutation(am):
-        return 0.0
     return _gram_defect(am)
 
 

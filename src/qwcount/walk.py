@@ -14,8 +14,9 @@ array and the step is a real orthogonal matrix.
 The exact-integer operators each have one owner that keeps their structure:
 the shift is an index map (:func:`_shift_map`), the oracle and the part
 oracles are ±1 sign vectors (:func:`_oracle_signs`), and the ancilla oracle
-is one 2x2 block per arc (:func:`_ancilla_blocks`).  The verify suite checks
-them in that form; their public builders are dense views of them.
+is one 2x2 block per arc (:func:`_ancilla_blocks`), both read from the arc
+marks of :func:`_arc_marks`.  The verify suite checks them in that form;
+their public builders are dense views of them.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ __all__ = [
     "build_oracle",
     "build_part_oracle",
     "build_ancilla_oracle",
-    "restrict_to_plus_ancilla",
     "build_evolution",
     "uniform_state",
 ]
@@ -140,28 +140,29 @@ def build_coin(inst: BipartiteInstance) -> np.ndarray:
     return coin
 
 
-def _oracle_signs(inst: BipartiteInstance, parts: tuple[int, ...]) -> np.ndarray:
-    signs = np.ones(inst.dim)
-    half = inst.num_edges
-    if 0 in parts:
-        for u in inst.marked0:
-            signs[u * inst.n1:(u + 1) * inst.n1] = -1.0
-    if 1 in parts:
-        for v in inst.marked1:
-            signs[half + v::inst.n1] = -1.0
-    return signs
-
-
 def _arc_marks(inst: BipartiteInstance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per arc: its direction bit, whether its tail is marked, whether its head is.
-    The head of arc ``a`` is the tail of its reverse ``a ± n0·n1``."""
-    tail = _oracle_signs(inst, (0, 1)) < 0
+    The tail of arc ``(u, v)`` is ``u`` in direction 0 and ``v`` in direction 1;
+    the head of arc ``a`` is the tail of its reverse ``a ± n0·n1``."""
+    tail = np.zeros((2, inst.n0, inst.n1), dtype=bool)
+    tail[0, list(inst.marked0), :] = True
+    tail[1, :, list(inst.marked1)] = True
+    tail = tail.ravel()
     return np.arange(inst.dim) >= inst.num_edges, tail, tail[_shift_map(inst)]
+
+
+def _oracle_signs(marks: tuple[np.ndarray, np.ndarray, np.ndarray],
+                  part: int | None = None) -> np.ndarray:
+    """The oracle's ±1 diagonal from :func:`_arc_marks`: −1 on each arc whose
+    tail is marked, in direction ``part`` only unless it is None."""
+    direction, tail, _ = marks
+    flipped = tail if part is None else tail & (direction == part)
+    return np.where(flipped, -1.0, 1.0)
 
 
 def build_oracle(inst: BipartiteInstance) -> np.ndarray:
     """Diagonal ±1 oracle: flips the amplitude of arcs whose tail is marked."""
-    return np.diag(_oracle_signs(inst, (0, 1)))
+    return np.diag(_oracle_signs(_arc_marks(inst)))
 
 
 def _check_part(part: int) -> None:
@@ -173,16 +174,15 @@ def build_part_oracle(inst: BipartiteInstance, part: int) -> np.ndarray:
     """Oracle restricted to one part: acts like the full oracle on arcs with
     direction bit ``part`` and as the identity elsewhere."""
     _check_part(part)
-    return np.diag(_oracle_signs(inst, (part,)))
+    return np.diag(_oracle_signs(_arc_marks(inst), part))
 
 
-def _ancilla_blocks(inst: BipartiteInstance, part: int) -> np.ndarray:
-    """The 2x2 ancilla block of each arc, shape ``(dim, 2, 2)``: the identity
-    if the arc's tail is unmarked, ``X`` if it is marked, and ``−X`` if it is
-    marked and the arc's direction is ``part``.  Zeros are ``+0.0``."""
-    _check_part(part)
-    direction, marked, _ = _arc_marks(inst)
-    blocks = np.zeros((inst.dim, 2, 2))
+def _ancilla_blocks(marks: tuple[np.ndarray, np.ndarray, np.ndarray], part: int) -> np.ndarray:
+    """The 2x2 ancilla block of each arc from :func:`_arc_marks`, shape ``(dim, 2, 2)``:
+    the identity if the arc's tail is unmarked, ``X`` if it is marked, and
+    ``−X`` if it is marked and the arc's direction is ``part``.  Zeros are ``+0.0``."""
+    direction, marked, _ = marks
+    blocks = np.zeros((len(marked), 2, 2))
     blocks[~marked, 0, 0] = blocks[~marked, 1, 1] = 1.0
     blocks[marked, 0, 1] = blocks[marked, 1, 0] = np.where(direction[marked] == part, -1.0, 1.0)
     return blocks
@@ -203,26 +203,20 @@ def build_ancilla_oracle(inst: BipartiteInstance, part: int) -> np.ndarray:
     the blocks are written into one zero-filled array through a
     ``(dim, 2, dim, 2)`` view, at arc = arc'.
     """
-    blocks = _ancilla_blocks(inst, part)
+    _check_part(part)
+    blocks = _ancilla_blocks(_arc_marks(inst), part)
     oracle = np.zeros((2 * inst.dim, 2 * inst.dim))
     arcs = np.arange(inst.dim)
     oracle.reshape(inst.dim, 2, inst.dim, 2)[arcs, :, arcs, :] = blocks
     return oracle
 
 
-def restrict_to_plus_ancilla(m) -> np.ndarray:
-    """Compress a doubled-space operator to the ancilla ``|+⟩`` sector.
-
-    Returns the arc-space matrix with entries ``(⟨a|⊗⟨+|) M (|b⟩⊗|+⟩)``,
-    half the sum of the 2x2 ancilla block of arcs ``a, b``.  The four
-    entries come from four strided views and add pairwise, ``(00 + 01) +
-    (10 + 11)``: four elementwise passes over ``d²`` entries, with no
-    reduction over a strided axis.
-    """
-    mm = as_matrix(m)
-    if mm.shape[0] != mm.shape[1] or mm.shape[0] % 2 != 0:
-        raise ValueError(f"expected a square even-dimensional matrix, got {mm.shape}")
-    return 0.5 * ((mm[0::2, 0::2] + mm[0::2, 1::2]) + (mm[1::2, 0::2] + mm[1::2, 1::2]))
+def _as_oracle(inst: BipartiteInstance, oracle) -> np.ndarray:
+    """``oracle`` as a finite matrix on the arc space of ``inst``."""
+    om = as_matrix(oracle)
+    if om.shape != (inst.dim, inst.dim):
+        raise ValueError(f"oracle shape {om.shape} does not match arc dimension {inst.dim}")
+    return om
 
 
 def build_evolution(inst: BipartiteInstance, oracle) -> np.ndarray:
@@ -232,15 +226,7 @@ def build_evolution(inst: BipartiteInstance, oracle) -> np.ndarray:
     gathered by :func:`_shift_map`, exactly; the step is that matrix times
     ``oracle``, one dense product instead of two.
     """
-    return _step_from_coin(inst, build_coin(inst), oracle)
-
-
-def _step_from_coin(inst: BipartiteInstance, coin: np.ndarray, oracle) -> np.ndarray:
-    """:func:`build_evolution` from the coin of ``inst`` already built."""
-    om = as_matrix(oracle)
-    if om.shape != (inst.dim, inst.dim):
-        raise ValueError(f"oracle shape {om.shape} does not match arc dimension {inst.dim}")
-    return coin[_shift_map(inst)] @ om
+    return build_coin(inst)[_shift_map(inst)] @ _as_oracle(inst, oracle)
 
 
 def uniform_state(inst: BipartiteInstance) -> np.ndarray:

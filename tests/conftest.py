@@ -125,13 +125,22 @@ def single_part_instance(inst: BipartiteInstance, part: int) -> BipartiteInstanc
 
 
 # Literal references for the arc-space builders that qwcount.walk computes
-# without the dense work: the step as two full products, and the ancilla
-# restriction as a reduction over the strided ancilla axes.
+# without the dense work: the step as two full products.  The ancilla
+# restriction, which the verify suite forms block by block, has two
+# references: four strided views added pairwise, the suite's order, and a
+# reduction over the strided ancilla axes.
 
 
 def literal_evolution(inst: BipartiteInstance, oracle) -> np.ndarray:
     """One search step as written: ``shift @ coin @ oracle``."""
     return build_shift(inst) @ build_coin(inst) @ oracle
+
+
+def restrict_to_plus_ancilla(m) -> np.ndarray:
+    """``(⟨a|⊗⟨+|) M (|b⟩⊗|+⟩)`` for a doubled-space ``m`` (flat index
+    ``2*arc + bit``): half the sum of the 2x2 ancilla block of arcs ``a, b``,
+    from four strided views added pairwise, ``(00 + 01) + (10 + 11)``."""
+    return 0.5 * ((m[0::2, 0::2] + m[0::2, 1::2]) + (m[1::2, 0::2] + m[1::2, 1::2]))
 
 
 def literal_plus_restriction(m) -> np.ndarray:

@@ -50,7 +50,6 @@ from qwcount import (
     partial_count,
     partial_count_error_bound,
     reduce_operator,
-    restrict_to_plus_ancilla,
     sample,
     spectral_decomposition,
     total_variation,
@@ -58,7 +57,7 @@ from qwcount import (
     unitarity_defect,
 )
 
-from conftest import estimate_k, fold_phase, package_env
+from conftest import estimate_k, fold_phase, package_env, restrict_to_plus_ancilla
 
 TWO_PI = 2 * math.pi
 

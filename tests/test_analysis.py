@@ -130,6 +130,9 @@ def test_sweep_grid_guard_counts_candidate_points():
         SweepConfig(range(1, 1002), range(1, 11), range(10), range(10), (4,))
     with pytest.raises(ResourceLimitError):
         parse_sweep_config(f"n0 = 1..{10**30}\nn1 = 1\nk0 = 0\np = 4\n")
+    # A stepped range counts its values, not the span it covers.
+    stepped = SweepConfig(range(1, 10**7, 10**6), (3,), (0,), (0,), (4,))
+    assert stepped.n0_values == tuple(range(1, 10**7, 10**6)) and len(stepped.n0_values) == 10
 
 
 def test_sweep_record_field_order_follows_the_fields():
@@ -303,6 +306,15 @@ def test_verify_suite_rejects_oracle_of_wrong_shape(fig2):
     oracle = np.eye(fig2.dim + 1)
     with pytest.raises(ValueError, match=r"oracle shape \(25, 25\) does not match arc dimension 24"):
         verify_suite(fig2, 5, oracle=oracle)
+
+
+def test_verify_suite_rejects_oracle_that_is_not_real_diagonal(fig2):
+    # The override is read as its diagonal, so anything off it is an error.
+    off_diagonal = build_oracle(fig2)
+    off_diagonal[0, 1] = 1.0
+    for oracle in (off_diagonal, build_oracle(fig2).astype(np.complex128)):
+        with pytest.raises(ValueError, match="oracle override must be a real diagonal matrix"):
+            verify_suite(fig2, 5, oracle=oracle)
 
 
 def test_verify_suite_threshold_failure_is_reported(fig2):

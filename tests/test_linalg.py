@@ -165,14 +165,13 @@ def dense_grams(monkeypatch):
 
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 48, 256])
-def test_signed_permutation_defect_is_exact(dense_grams, n, dtype):
+def test_signed_permutation_defect_is_exact(n, dtype):
     rng = np.random.default_rng(n)
     negative_zeros = 0
     for _ in range(5):
         m = signed_permutation(rng, n, dtype)
         negative_zeros += np.signbit(m.real[m.real == 0]).sum()
         assert unitarity_defect(m).hex() == dense_defect(m).hex() == (0.0).hex()
-    assert dense_grams == []
     assert negative_zeros > 0 or n == 1
 
 

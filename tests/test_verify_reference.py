@@ -28,7 +28,6 @@ from qwcount import (
     full_count,
     invariant_basis,
     reduce_operator,
-    restrict_to_plus_ancilla,
     spectral_decomposition,
     total_variation,
     uniform_state,
@@ -36,6 +35,8 @@ from qwcount import (
     verify_suite,
 )
 from qwcount import analysis, linalg, walk
+
+from conftest import restrict_to_plus_ancilla
 
 
 def identity_distance(m):
@@ -132,8 +133,7 @@ def test_every_row_under_the_corrupt_oracle_is_bit_equal_to_the_dense_formulas()
 
 
 def test_default_path_neither_validates_nor_detects(monkeypatch):
-    # The suite checks what it built itself: no input coercion, and no
-    # search for a signed permutation in a dense matrix.
+    # The suite checks what it built itself: no input coercion.
     coerced = []
     as_finite = linalg._as_finite
 
@@ -141,11 +141,7 @@ def test_default_path_neither_validates_nor_detects(monkeypatch):
         coerced.append(np.shape(a))
         return as_finite(a, rank, kind)
 
-    def detecting(am):
-        raise AssertionError(f"signed-permutation detection on {am.shape}")
-
     monkeypatch.setattr(linalg, "_as_finite", counting)
-    monkeypatch.setattr(linalg, "_is_signed_permutation", detecting)
     assert verify_suite(BipartiteInstance.from_counts(8, 8, 3, 5), 4).all_passed
     assert coerced == []
 
@@ -201,8 +197,8 @@ def test_a_shift_map_that_is_no_involution_fails(monkeypatch):
 
 
 def test_an_oracle_sign_of_one_half_fails(monkeypatch, skipped_circuit):
-    def halved(signs, inst, parts):
-        if parts == (0, 1):
+    def halved(signs, marks, which=None):
+        if which is None:
             signs[np.flatnonzero(signs > 0)[0]] = 0.5  # an unmarked arc stays unmarked
         return signs
 
@@ -213,8 +209,8 @@ def test_an_oracle_sign_of_one_half_fails(monkeypatch, skipped_circuit):
 
 @pytest.mark.parametrize("part", [0, 1])
 def test_a_part_oracle_sign_of_one_half_fails(monkeypatch, part):
-    def halved(signs, inst, parts):
-        if parts == (part,):
+    def halved(signs, marks, which=None):
+        if which == part:
             signs[np.flatnonzero(signs > 0)[0]] = 0.5
         return signs
 
@@ -225,7 +221,7 @@ def test_a_part_oracle_sign_of_one_half_fails(monkeypatch, part):
 
 @pytest.mark.parametrize("part", [0, 1])
 def test_an_ancilla_block_holding_two_fails(monkeypatch, part):
-    def doubled(blocks, inst, which):
+    def doubled(blocks, marks, which):
         if which == part:
             blocks[0, 0, 0] = 2.0
         return blocks

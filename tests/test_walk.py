@@ -11,7 +11,6 @@ from qwcount import (
     build_oracle,
     build_part_oracle,
     build_shift,
-    restrict_to_plus_ancilla,
     uniform_state,
     unitarity_defect,
 )
@@ -26,6 +25,7 @@ from conftest import (
     literal_evolution,
     literal_plus_restriction,
     random_instances,
+    restrict_to_plus_ancilla,
 )
 
 FIG2 = BipartiteInstance(4, 3, frozenset({1, 3}), frozenset({1}))
