@@ -42,9 +42,7 @@ from .counting import (
     CountDistribution,
     adjusted_full_count_error_bound,
     adjusted_partial_count_error_bound,
-    CountEstimate,
     FullCountDistribution,
-    FullCountEstimate,
     full_count,
     full_count_error_bound,
     grover_count,

@@ -374,8 +374,8 @@ def _cmd_count(args):
             return _joint_blocks(dist), TOTAL_COUNT_FIELDS, 0
         return [_part_columns(dist)], PART_COUNT_FIELDS, 0
 
-    # One pushforward per run.  Trial t takes its uniforms (part 0 first) from
-    # its own derived generator, as a draw would.
+    # One pushforward per run.  Trial t takes one uniform per part (part 0
+    # first) from its own derived generator; this is the package's only sampler.
     parts = (dist,) if part is not None else (dist.part0, dist.part1)
     uniforms = np.array([np.random.default_rng(_trial_seed(seed, trial)).random(len(parts))
                          for trial in range(args.trials)])

@@ -1,36 +1,35 @@
-"""Marked-vertex counting via phase estimation, with exact pushforward mode.
+"""Marked-vertex counting via phase estimation, as exact pushforward distributions.
 
-The single-shot algorithms estimate an eigenphase, fold it into a canonical
-quadrant, and convert it to a count through ``k = n sin²``.  On a ``P``-point
-register the fold is an integer map on the grid index: ``m → min(m, P − m)``
-reflects phases in (π, 2π) onto [0, π], and for the walk ``→ min(·, P/2 − ·)``
-folds them onto [0, π/2].  The folded phase is ``2π·folded/P``, so outcomes
-that are mirror images in exact arithmetic get bit-equal estimates.  Beyond the
-single-shot (``sampled``) mode, every routine offers an ``exact`` mode that
-pushes the whole grid distribution through the same pipeline, so the error
-bounds and success probabilities become checkable statements about exact
-probability masses instead of statistical claims.
+Each algorithm estimates an eigenphase, folds it into a canonical quadrant,
+and converts it to a count through ``k = n sin²``.  On a ``P``-point register
+the fold is an integer map on the grid index: ``m → min(m, P − m)`` reflects
+phases in (π, 2π) onto [0, π], and for the walk ``→ min(·, P/2 − ·)`` folds
+them onto [0, π/2].  The folded phase is ``2π·folded/P``, so outcomes that
+are mirror images in exact arithmetic get bit-equal estimates.  Every routine
+pushes the whole grid distribution through that pipeline, so the error bounds
+and success probabilities become checkable statements about exact
+probability masses instead of statistical claims.  There is no single-shot
+mode: the CLI's ``count`` command draws runs by placing one uniform per part
+per trial on a distribution's ``cumulative`` mass.
 
 A pushforward is held as read-only float64 arrays indexed by grid index
-(``omega``, ``theta_est``, ``k_est``, ``mass``); a sampled run pushes the
-distribution forward once and draws grid indices from its ``cumulative`` mass.
+(``omega``, ``theta_est``, ``k_est``, ``mass``).
 
 Counting a single part runs the walk whose oracle marks only that part, so
 its distribution depends on ``(n_j, k_j, p)`` alone; the other part's size
-and marks are never read.  Counts are reported as real numbers (the
-error bounds apply before any rounding); a round-half-to-even integer is
-attached for convenience.
+and marks are never read.  Counts are real numbers: the error bounds apply
+before any rounding.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .phase_estimation import TWO_PI, EigenphaseMixture, exact_distribution, grid_indices
+from .phase_estimation import TWO_PI, EigenphaseMixture, exact_distribution
 from .reduced import WalkAngles, eigenphase_table, part_angle
 from .walk import BipartiteInstance, _check_part
 
@@ -41,8 +40,6 @@ __all__ = [
     "adjusted_full_count_error_bound",
     "CountDistribution",
     "FullCountDistribution",
-    "CountEstimate",
-    "FullCountEstimate",
     "grover_mixture",
     "partial_count",
     "full_count",
@@ -98,33 +95,6 @@ def adjusted_full_count_error_bound(k0: int, n0: int, k1: int, n1: int, grid_siz
     return full_count_error_bound(k0, n0, k1, n1, grid_size / 2)
 
 
-@dataclass(frozen=True)
-class CountEstimate:
-    """A single sampled count with the metadata needed to reproduce it."""
-
-    k_est: float
-    k_rounded: int
-    theta_est: float
-    p: int
-    bound: float
-    oracle_queries: int
-    seed: int | None
-
-
-@dataclass(frozen=True)
-class FullCountEstimate:
-    """A sampled total count: the sum of two independent part estimates."""
-
-    k_est: float
-    k_rounded: int
-    p: int
-    bound: float
-    oracle_queries: int
-    seed: int | None
-    part0: CountEstimate
-    part1: CountEstimate
-
-
 @dataclass(frozen=True, eq=False)
 class CountDistribution:
     """Exact pushforward distribution of a single estimation run.
@@ -164,23 +134,6 @@ class CountDistribution:
     def cumulative(self) -> np.ndarray:
         """Cumulative mass by grid index, computed once per distribution."""
         return np.cumsum(self.mass)
-
-    def draw(self, rng: np.random.Generator) -> CountEstimate:
-        """One sampled run: a grid index drawn by mass with one ``rng.random()``.
-
-        The estimate carries no seed; callers that own the seed attach it.
-        """
-        index = grid_indices(self.cumulative, rng.random())
-        k_est = float(self.k_est[index])
-        return CountEstimate(
-            k_est=k_est,
-            k_rounded=round(k_est),
-            theta_est=float(self.theta_est[index]),
-            p=self.p,
-            bound=self.bound,
-            oracle_queries=self.oracle_queries,
-            seed=None,
-        )
 
 
 def _edge(k0: np.ndarray, k1_sorted: np.ndarray, guess: np.ndarray, holds) -> np.ndarray:
@@ -233,35 +186,6 @@ class FullCountDistribution:
         inside = np.where(hi > lo, prefix[hi] - prefix[lo], 0.0)
         return float(m0 @ inside)
 
-    def draw(self, rng: np.random.Generator) -> FullCountEstimate:
-        """One sampled total: part 0 then part 1 drawn from the same ``rng``."""
-        pick0, pick1 = self.part0.draw(rng), self.part1.draw(rng)
-        total = pick0.k_est + pick1.k_est
-        return FullCountEstimate(
-            k_est=total,
-            k_rounded=round(total),
-            p=self.p,
-            bound=self.bound,
-            oracle_queries=self.oracle_queries,
-            seed=None,
-            part0=pick0,
-            part1=pick1,
-        )
-
-
-def _check_mode(mode: str, seed) -> None:
-    if mode not in ("exact", "sampled"):
-        raise ValueError(f"mode must be 'exact' or 'sampled', got {mode!r}")
-    if mode == "sampled" and seed is None:
-        raise ValueError("sampled mode requires an explicit seed")
-
-
-def _finish(dist, mode: str, seed: int | None):
-    """The exact distribution, or one run drawn from it with ``default_rng(seed)``."""
-    if mode == "exact":
-        return dist
-    return replace(dist.draw(np.random.default_rng(seed)), seed=seed)
-
 
 def _mirror(index: np.ndarray, size: int) -> np.ndarray:
     """Fold grid indices about ``size / 2``: ``m → min(m, size − m)``."""
@@ -280,50 +204,43 @@ def _count_distribution(mixture: EigenphaseMixture, p: int, n_target: int, k_tru
                              theta_est=theta_est, k_est=to_k(theta_est), mass=dist.mass)
 
 
-def partial_count(p: int, inst: BipartiteInstance, part: int, mode: str = "exact",
-                  seed: int | None = None):
-    """Count the marked vertices of one part.
+def partial_count(p: int, inst: BipartiteInstance, part: int) -> CountDistribution:
+    """Count the marked vertices of one part: the exact :class:`CountDistribution`.
 
     Runs phase estimation on the walk whose oracle marks only ``part``, the
     closed form at angles ``(theta_part, 0)`` for either part; folds each
-    outcome to [0, π/2] and applies ``k = n_part sin²``.  Exact mode returns
-    the full :class:`CountDistribution`; sampled mode draws one outcome and
-    returns a :class:`CountEstimate`.  The run costs ``P - 1`` oracle queries.
+    outcome to [0, π/2] and applies ``k = n_part sin²``.  The run costs
+    ``P - 1`` oracle queries.
 
     For ``k_part`` in ``{0, n_part}`` the count is exact (mass 1 on
     ``k_part``) given ``p >= 2``; at ``p = 1`` both give 0.  The paper's
     ``8(1 − 2^{-t})/π²`` is read with ``t = p``, an assumption.
     """
     _check_part(part)
-    _check_mode(mode, seed)
     n_part, k_part = (inst.n0, inst.k0) if part == 0 else (inst.n1, inst.k1)
-    dist = _count_distribution(
+    return _count_distribution(
         eigenphase_table(WalkAngles.from_thetas(part_angle(k_part, n_part), 0.0)),
         p, n_part, k_part, part,
         lambda m, size: _mirror(_mirror(m, size), size // 2),
         lambda theta: n_part * np.sin(theta) ** 2)
-    return _finish(dist, mode, seed)
 
 
-def full_count(p: int, inst: BipartiteInstance, mode: str = "exact",
-               seed: int | None = None):
+def full_count(p: int, inst: BipartiteInstance) -> FullCountDistribution:
     """Count all marked vertices by running the single-part count on each part.
 
     The two runs use fresh registers and are statistically independent, so the
-    exact joint distribution is the product measure over outcome pairs.  Total
-    cost is ``2P - 2`` oracle queries.
+    exact joint distribution is the product measure over outcome pairs, held
+    as the two part distributions.  Total cost is ``2P - 2`` oracle queries.
     """
-    _check_mode(mode, seed)
-    joint = FullCountDistribution(
+    return FullCountDistribution(
         p=p,
         k_true=inst.num_marked,
         # Parts first: their engine rejects a register before 2**p is formed.
-        part0=partial_count(p, inst, 0, "exact"),
-        part1=partial_count(p, inst, 1, "exact"),
+        part0=partial_count(p, inst, 0),
+        part1=partial_count(p, inst, 1),
         bound=full_count_error_bound(inst.k0, inst.n0, inst.k1, inst.n1, 2**p),
         oracle_queries=2 * (2**p - 1),
     )
-    return _finish(joint, mode, seed)
 
 
 def grover_mixture(n: int, k: int) -> EigenphaseMixture:
@@ -341,16 +258,20 @@ def grover_mixture(n: int, k: int) -> EigenphaseMixture:
     return EigenphaseMixture([part_angle(k, n)], [[0.5, 0.5]])
 
 
-def grover_count(p: int, n: int, k: int, mode: str = "exact",
-                 seed: int | None = None):
+def grover_count(p: int, n: int, k: int, mode: str = "exact") -> CountDistribution:
     """Count marked elements of an unstructured search space of size ``n``.
 
-    Baseline counterpart of :func:`partial_count`: the estimated eigenphase is
-    the full rotation angle, so only the first reflection is applied (the
-    angle already lies in [0, π]) and ``k̃ = n sin²(θ̃/2)``.  Its error
-    radius is the single-part one, :func:`partial_count_error_bound`.
+    Baseline counterpart of :func:`partial_count`, and like it returns the
+    exact :class:`CountDistribution`: the estimated eigenphase is the full
+    rotation angle, so only the first reflection is applied (the angle
+    already lies in [0, π]) and ``k̃ = n sin²(θ̃/2)``.  Its error radius is
+    the single-part one, :func:`partial_count_error_bound`.
+
+    ``mode`` accepts only ``"exact"``, and any other value raises
+    ``ValueError``.  It stays because the benchmark's workloads pass
+    ``"exact"`` positionally.
     """
-    _check_mode(mode, seed)
-    dist = _count_distribution(grover_mixture(n, k), p, n, k, None, _mirror,
+    if mode != "exact":
+        raise ValueError(f"mode must be 'exact', got {mode!r}")
+    return _count_distribution(grover_mixture(n, k), p, n, k, None, _mirror,
                                lambda theta: n * np.sin(theta / 2.0) ** 2)
-    return _finish(dist, mode, seed)

@@ -111,6 +111,16 @@ def estimate_k(theta_half, n_part: int):
     return n_part * np.sin(theta_half) ** 2
 
 
+def draw_index(mass, rng: np.random.Generator) -> int:
+    """One run drawn by mass with one ``rng.random()``: the first grid index
+    whose cumulative mass exceeds the uniform, capped at the last index.
+
+    Reference for the CLI's sampled ``count``, which places every trial's
+    uniforms at once."""
+    cumulative = np.cumsum(mass)
+    return min(int(np.searchsorted(cumulative, rng.random(), side="right")), cumulative.size - 1)
+
+
 def single_part_instance(inst: BipartiteInstance, part: int) -> BipartiteInstance:
     """The instance seen through the part-restricted oracle: other part unmarked.
 

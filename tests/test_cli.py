@@ -35,7 +35,7 @@ from qwcount.phase_estimation import circuit_distribution, exact_distribution
 from qwcount.reduced import EIGENPHASE_LABELS, angles_from_instance, eigenphase_table
 from qwcount.walk import BipartiteInstance, build_evolution, build_oracle, uniform_state
 
-from conftest import package_env
+from conftest import draw_index, package_env
 
 FIG2_ARGS = ["--n0", "4", "--n1", "3", "--k0", "2", "--k1", "1"]
 
@@ -191,6 +191,20 @@ def test_count_sampled_generated_seed_reproduces(capsys):
     _, second, _ = run_cli(capsys, "count", *FIG2_ARGS, "--p", "5",
                            "--mode", "sampled", "--trials", "5", "--seed", seed)
     assert first == second
+
+
+def test_count_sampled_draws_from_the_exact_distribution(capsys):
+    status, out, _ = run_cli(capsys, "count", *FIG2_ARGS, "--part", "0", "--p", "4",
+                             "--mode", "sampled", "--trials", "4000", "--seed", "1")
+    assert status == 0
+    dist = partial_count(4, BipartiteInstance.from_counts(4, 3, 2, 1), 0)
+    counts = {}
+    for row in csv.DictReader(io.StringIO(out)):
+        k = float(row["k_est"])
+        counts[k] = counts.get(k, 0) + 1
+    assert sum(counts.values()) == 4000
+    for k, count in counts.items():
+        assert count / 4000 == pytest.approx(dist.mass[dist.k_est == k].sum(), abs=0.03)
 
 
 def test_count_sampled_trials_validation(capsys):
@@ -454,16 +468,19 @@ def ref_rows(args):
         if part is None:
             return ref_total_rows(dist), TOTAL_COUNT_FIELDS
         return ref_part_rows(dist), PART_COUNT_FIELDS
+    parts = (dist,) if part is not None else (dist.part0, dist.part1)
     rows = []
     for trial in range(args.trials):
-        estimate = dist.draw(np.random.default_rng(_trial_seed(args.seed, trial)))
-        row = {"trial": trial, "p": estimate.p, "k_est": estimate.k_est,
-               "k_rounded": estimate.k_rounded, "bound": estimate.bound,
-               "oracle_queries": estimate.oracle_queries, "seed": args.seed}
+        rng = np.random.default_rng(_trial_seed(args.seed, trial))
+        picks = [draw_index(d.mass, rng) for d in parts]
+        k_parts = [float(d.k_est[pick]) for d, pick in zip(parts, picks)]
+        k_est = k_parts[0] if part is not None else k_parts[0] + k_parts[1]
+        row = {"trial": trial, "p": dist.p, "k_est": k_est, "k_rounded": round(k_est),
+               "bound": dist.bound, "oracle_queries": dist.oracle_queries, "seed": args.seed}
         if part is None:
-            row.update(k_est_0=estimate.part0.k_est, k_est_1=estimate.part1.k_est)
+            row.update(k_est_0=k_parts[0], k_est_1=k_parts[1])
         else:
-            row.update(part=part, theta_est=estimate.theta_est)
+            row.update(part=part, theta_est=float(dist.theta_est[picks[0]]))
         rows.append(row)
     return rows, SAMPLED_TOTAL_FIELDS if part is None else SAMPLED_PART_FIELDS
 
@@ -770,7 +787,7 @@ def test_joint_table_guard_admits_p10_and_spares_sampled_mode(capsys):
 @pytest.mark.parametrize("part", ["0", "1", "both"])
 def test_sampled_trials_match_per_trial_draws(capsys, part, fmt):
     # k/n off the estimate grid; the run draws all trials at once, the
-    # reference one CountDistribution.draw per trial.
+    # reference one draw_index per part per trial.
     argv = ["count", "--n0", "37", "--n1", "50", "--k0", "13", "--k1", "29", "--p", "9",
             "--part", part, "--mode", "sampled", "--trials", "3000", "--seed", "11",
             "--format", fmt]

@@ -8,9 +8,7 @@ import pytest
 from qwcount import (
     BipartiteInstance,
     CountDistribution,
-    CountEstimate,
     FullCountDistribution,
-    FullCountEstimate,
     adjusted_full_count_error_bound,
     adjusted_partial_count_error_bound,
     circuit_distribution,
@@ -332,10 +330,6 @@ def test_partial_count_validation():
         partial_count(0, FIG2, 0)
     with pytest.raises(ValueError):
         partial_count(4, FIG2, 2)
-    with pytest.raises(ValueError):
-        partial_count(4, FIG2, 0, "sampled")
-    with pytest.raises(ValueError):
-        partial_count(4, FIG2, 0, "bogus")
 
 
 def test_full_count_unmarked_certainty():
@@ -377,64 +371,6 @@ def test_permutation_invariance_bitwise():
         assert np.array_equal(part_a.mass, part_b.mass)
         assert np.array_equal(part_a.k_est, part_b.k_est)
     assert a.bound == b.bound
-
-
-def test_sampled_partial_count():
-    estimate = partial_count(5, FIG2, 0, "sampled", seed=123)
-    assert isinstance(estimate, CountEstimate)
-    assert estimate.seed == 123
-    assert estimate.oracle_queries == 31
-    assert 0.0 <= estimate.k_est <= 4.0
-    assert estimate.k_est == pytest.approx(estimate_k(estimate.theta_est, 4), abs=1e-15)
-    assert estimate.k_rounded == round(estimate.k_est)
-    again = partial_count(5, FIG2, 0, "sampled", seed=123)
-    assert again == estimate
-
-
-def test_sampled_full_count():
-    estimate = full_count(5, FIG2, "sampled", seed=7)
-    assert isinstance(estimate, FullCountEstimate)
-    assert estimate.k_est == estimate.part0.k_est + estimate.part1.k_est
-    assert estimate.oracle_queries == 62
-    assert full_count(5, FIG2, "sampled", seed=7) == estimate
-
-
-def test_sampled_mode_draws_from_the_exact_distribution():
-    # Sampled mode is one draw from the exact pushforward with default_rng(seed).
-    for seed in (0, 7, 123):
-        joint = full_count(5, FIG2)
-        assert full_count(5, FIG2, "sampled", seed=seed) == replace(
-            joint.draw(np.random.default_rng(seed)), seed=seed)
-        assert partial_count(5, FIG2, 1, "sampled", seed=seed) == replace(
-            joint.part1.draw(np.random.default_rng(seed)), seed=seed)
-        assert grover_count(5, 16, 4, "sampled", seed=seed) == replace(
-            grover_count(5, 16, 4).draw(np.random.default_rng(seed)), seed=seed)
-    dist = partial_count(4, FIG2, 0)
-    rng = np.random.default_rng(1)
-    counts = {}
-    for _ in range(4000):
-        k = dist.draw(rng).k_est
-        counts[k] = counts.get(k, 0) + 1
-    for k, count in counts.items():
-        assert count / 4000 == pytest.approx(dist.mass[dist.k_est == k].sum(), abs=0.03)
-
-
-def test_draws_accumulate_the_mass_once(monkeypatch):
-    # T draws run np.cumsum once per part distribution, and each draw still
-    # takes one rng.random(), so sampled runs keep their outcomes.
-    joint = full_count(6, FIG2)
-    cumulative = [np.cumsum(joint.part0.mass), np.cumsum(joint.part1.mass)]
-    calls = []
-    cumsum = np.cumsum
-    monkeypatch.setattr(np, "cumsum", lambda *args, **kwargs: calls.append(1) or cumsum(*args, **kwargs))
-    rng, reference = np.random.default_rng(5), np.random.default_rng(5)
-    for _ in range(200):
-        total = joint.draw(rng)
-        for pick, part, acc in ((total.part0, joint.part0, cumulative[0]),
-                                (total.part1, joint.part1, cumulative[1])):
-            index = min(int(np.searchsorted(acc, reference.random(), side="right")), acc.size - 1)
-            assert pick.k_est == part.k_est[index]
-    assert len(calls) == 2
 
 
 def test_rounding_is_half_to_even():
@@ -512,14 +448,8 @@ def test_grover_count_validation():
         grover_count(4, 4, 5)
     with pytest.raises(ValueError):
         grover_count(4, 0, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="mode must be 'exact', got 'sampled'"):
         grover_count(4, 8, 1, "sampled")
-
-
-def test_grover_sampled_determinism():
-    first = grover_count(5, 16, 4, "sampled", seed=99)
-    second = grover_count(5, 16, 4, "sampled", seed=99)
-    assert first == second
 
 
 @pytest.mark.parametrize("inst", list(iter_count_instances(4)))

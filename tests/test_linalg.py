@@ -175,45 +175,6 @@ def test_signed_permutation_defect_is_exact(n, dtype):
     assert negative_zeros > 0 or n == 1
 
 
-def _near_misses():
-    """Signed permutations of size 6 broken in one place each."""
-    rng = np.random.default_rng(7)
-    base = signed_permutation(rng, 6)
-    cols = np.nonzero(base)[1]
-    misses = {}
-    m = base.copy()
-    m[2, cols[2]] = math.copysign(1.0 + 2.0**-52, m[2, cols[2]])
-    misses["one_ulp_above_one"] = m
-    m = base.copy()
-    first = int(np.argmin(cols))
-    m[first, cols[first] + 1] = 1.0
-    misses["row_with_two_nonzeros"] = m
-    m = base.copy()
-    m[2, cols[3]], m[3, cols[3]] = m[3, cols[3]], 0.0
-    misses["row_with_two_nonzeros_and_an_empty_row"] = m
-    m = base.copy()
-    m[2, cols[3]], m[2, cols[2]] = m[2, cols[2]], 0.0
-    misses["zero_column"] = m
-    m = base.astype(np.complex128)
-    m[4, cols[4]] = 1j
-    misses["entry_of_1j"] = m
-    m = np.zeros((6, 6))
-    m[:2, :2] = rotation(math.pi / 5).real
-    m[2:, 2:] = signed_permutation(rng, 4)
-    misses["rotation_block"] = m
-    return misses
-
-
-NEAR_MISSES = _near_misses()
-
-
-@pytest.mark.parametrize("name", sorted(NEAR_MISSES))
-def test_near_signed_permutations_take_the_dense_gram(dense_grams, name):
-    m = NEAR_MISSES[name]
-    assert unitarity_defect(m).hex() == dense_defect(m).hex()
-    assert len(dense_grams) == 1
-
-
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_dense_defect_matches_formula(dense_grams, seed):
     rng = np.random.default_rng(seed)

@@ -92,7 +92,7 @@ def dense_reference_rows(inst, p, oracle=None):
     rows["analytic_circuit_tv"] = total_variation(
         exact_distribution(eigenphase_table(angles), p),
         circuit_distribution(evolution, uniform_state(inst), p))
-    joint = full_count(p, inst, "exact")
+    joint = full_count(p, inst)
     for name, dist in (("part0", joint.part0), ("part1", joint.part1)):
         rows[f"{name}_bound_mass"] = dist.mass_within(dist.bound)
     rows["total_bound_mass"] = joint.mass_within(joint.bound)
@@ -153,13 +153,6 @@ def test_default_path_neither_validates_nor_detects(monkeypatch):
 FIG = BipartiteInstance(3, 4, frozenset({2}), frozenset({1, 3}))
 
 
-@pytest.fixture
-def skipped_circuit(monkeypatch):
-    """Skip the circuit, which refuses a non-unitary step, so the report is returned."""
-    analytic = exact_distribution(eigenphase_table(angles_from_instance(FIG)), 3)
-    monkeypatch.setattr(analysis, "_circuit_marginal", lambda um, vec, p, defect: analytic)
-
-
 def patch_helper(monkeypatch, name, broken):
     original = getattr(walk, name)
 
@@ -171,20 +164,26 @@ def patch_helper(monkeypatch, name, broken):
 
 
 def assert_rows_fail_as_dense(names):
+    """Each operator row carries the dense reference's value and fails
+    exactly when it is in ``names``; a named row outside the operator rows,
+    such as the circuit's TV, fails too."""
     report = {c.name: c for c in verify_suite(FIG, 3).checks}
     reference, _ = dense_operator_rows(FIG)
     for name in reference:
         assert report[name].value.hex() == float(reference[name]).hex(), name
         assert report[name].passed == (name not in names), name
+    for name in set(names) - set(reference):
+        assert not report[name].passed, name
 
 
-def test_a_repeated_index_in_the_shift_map_fails(monkeypatch, skipped_circuit):
+def test_a_repeated_index_in_the_shift_map_fails(monkeypatch):
     def repeated(index_map, inst):
         index_map[0] = index_map[1]
         return index_map
 
     patch_helper(monkeypatch, "_shift_map", repeated)
-    assert_rows_fail_as_dense({"unitarity_shift", "involution_shift", "unitarity_evolution"})
+    assert_rows_fail_as_dense({"unitarity_shift", "involution_shift", "unitarity_evolution",
+                               "analytic_circuit_tv"})
 
 
 def test_a_shift_map_that_is_no_involution_fails(monkeypatch):
@@ -196,7 +195,7 @@ def test_a_shift_map_that_is_no_involution_fails(monkeypatch):
     assert_rows_fail_as_dense({"involution_shift"})
 
 
-def test_an_oracle_sign_of_one_half_fails(monkeypatch, skipped_circuit):
+def test_an_oracle_sign_of_one_half_fails(monkeypatch):
     def halved(signs, marks, which=None):
         if which is None:
             signs[np.flatnonzero(signs > 0)[0]] = 0.5  # an unmarked arc stays unmarked
@@ -204,7 +203,34 @@ def test_an_oracle_sign_of_one_half_fails(monkeypatch, skipped_circuit):
 
     patch_helper(monkeypatch, "_oracle_signs", halved)
     assert_rows_fail_as_dense({"unitarity_oracle", "involution_oracle", "part_oracle_product",
-                               "unitarity_evolution"})
+                               "unitarity_evolution", "analytic_circuit_tv"})
+
+
+def one_sign_of_one_half(oracle):
+    arc = np.flatnonzero(np.diagonal(oracle) > 0)[0]
+    oracle[arc, arc] = 0.5
+    return oracle
+
+
+@pytest.mark.parametrize("counts, p, broken, evolution_passes", [
+    # The circuit finds the step not unitary (defect 0.75).
+    ((3, 4, 1, 2), 3, one_sign_of_one_half, False),
+    # The step passes unitarity_evolution (9.8e-11), but the circuit's
+    # masses do not sum to 1.
+    ((8, 8, 3, 5), 11, lambda oracle: oracle * (1 + 4.9e-11), True),
+], ids=["one_sign_of_one_half", "every_sign_scaled"])
+def test_a_step_the_circuit_refuses_is_reported(counts, p, broken, evolution_passes):
+    inst = BipartiteInstance.from_counts(*counts)
+    oracle = broken(build_oracle(inst))
+    report = verify_suite(inst, p, oracle=oracle)
+    rows = {c.name: c for c in report.checks}
+    assert not report.all_passed
+    assert rows["analytic_circuit_tv"].value == 1.0
+    assert not rows["analytic_circuit_tv"].passed
+    assert rows["unitarity_evolution"].passed == evolution_passes
+    reference, _ = dense_operator_rows(inst, oracle)
+    for name, value in reference.items():
+        assert rows[name].value.hex() == float(value).hex(), name
 
 
 @pytest.mark.parametrize("part", [0, 1])
