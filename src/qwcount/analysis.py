@@ -35,12 +35,13 @@ from .reduced import (
 )
 from .errors import ResourceLimitError
 from .walk import (
+    MAX_FULL_SPACE_EDGES,
     BipartiteInstance,
     _ancilla_blocks,
     _arc_marks,
-    _as_oracle,
     _oracle_signs,
     _shift_map,
+    _step_from_coin,
     build_coin,
     uniform_state,
 )
@@ -65,9 +66,6 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 FULL_COUNT_SUCCESS_PROBABILITY = 0.65
-
-# Guard for routines that build the full arc space.
-MAX_FULL_SPACE_EDGES = 64
 
 # Candidate points of a sweep grid: the product of its five value-list lengths.
 MAX_SWEEP_POINTS = 10**6
@@ -346,15 +344,6 @@ def _sign_defect(signs: np.ndarray) -> float:
     return float(np.abs(signs * signs - 1).max())
 
 
-def _override_signs(inst: BipartiteInstance, oracle) -> np.ndarray:
-    """The diagonal of an ``oracle`` override, which must be a real diagonal matrix."""
-    om = _as_oracle(inst, oracle)
-    signs = np.diagonal(om)
-    if om.dtype.kind == "c" or np.count_nonzero(om) != np.count_nonzero(signs):
-        raise ValueError("oracle override must be a real diagonal matrix")
-    return signs
-
-
 def _ancilla_defects(blocks: np.ndarray, part_signs: np.ndarray) -> tuple[float, float]:
     """Unitarity defect of the block-diagonal matrix of ``blocks``, and the
     distance of its ``|+⟩``-ancilla restriction from ``diag(part_signs)``,
@@ -378,9 +367,9 @@ def verify_suite(inst: BipartiteInstance, p: int, *,
     The shift, the oracle, the part oracles and the ancilla oracles are
     checked on the structure :mod:`qwcount.walk` builds them from (an index
     map, sign vectors, one 2x2 block per arc), and each of their rows
-    reports the value the dense formula would give.  The oracle's step is
-    the shifted coin with its columns scaled by the signs.  The coin, the
-    step, the invariant reduction and the circuit stay dense.
+    reports the value the dense formula would give.  The step is formed from
+    the suite's coin as :func:`~qwcount.walk.build_evolution` forms it.  The
+    coin, the step, the invariant reduction and the circuit stay dense.
 
     When the circuit engine refuses the step (a defect above its tolerance,
     or masses that do not sum to 1), ``analytic_circuit_tv`` reports 1.0, the
@@ -390,25 +379,21 @@ def verify_suite(inst: BipartiteInstance, p: int, *,
     Raises
     ------
     ResourceLimitError
-        If the instance has more than :data:`MAX_FULL_SPACE_EDGES` edges.
+        If the instance has more than :data:`MAX_FULL_SPACE_EDGES` edges,
+        the arc-space guard of :mod:`qwcount.walk`.
     ValueError
         If ``oracle`` is not a real diagonal matrix of the arc dimension.
     """
-    if inst.num_edges > MAX_FULL_SPACE_EDGES:
-        raise ResourceLimitError(
-            f"verify suite limited to {MAX_FULL_SPACE_EDGES} edges, got {inst.num_edges}")
     checks: list[CheckResult] = []
 
     def check_max(name: str, value: float, limit: float) -> None:
         checks.append(CheckResult(name, float(value), limit, "max", float(value) <= limit))
 
     marks = _arc_marks(inst)
-    signs = _oracle_signs(marks) if oracle is None else _override_signs(inst, oracle)
     part_signs = {j: _oracle_signs(marks, j) for j in (0, 1)}
     ancilla = {j: _ancilla_defects(_ancilla_blocks(marks, j), part_signs[j]) for j in (0, 1)}
     coin, shift_map = build_coin(inst), _shift_map(inst)
-    evolution = coin[shift_map]
-    evolution *= signs
+    signs, evolution = _step_from_coin(inst, coin, oracle)
     shift_unitarity, shift_involution = _index_map_defects(shift_map)
     oracle_defect = _sign_defect(signs)
 

@@ -39,7 +39,6 @@ import sys
 import numpy as np
 
 from .analysis import (
-    MAX_FULL_SPACE_EDGES,
     load_sweep_config,
     run_sweep,
     verify_suite,
@@ -301,11 +300,7 @@ def _cmd_distribution(args):
     if args.engine == "analytic":
         dist = exact_distribution(eigenphase_table(angles_from_instance(inst)), args.p)
     else:
-        if inst.num_edges > MAX_FULL_SPACE_EDGES:
-            raise ResourceLimitError(
-                f"circuit engine limited to {MAX_FULL_SPACE_EDGES} edges, got {inst.num_edges}")
-        evolution = build_evolution(inst, build_oracle(inst))
-        dist = circuit_distribution(evolution, uniform_state(inst), args.p)
+        dist = circuit_distribution(build_evolution(inst), uniform_state(inst), args.p)
     columns = {"p": dist.p, "omega_index": np.arange(dist.n_points),
                "omega_radians": dist.omegas(), "mass": dist.mass}
     return [columns], DISTRIBUTION_FIELDS, 0

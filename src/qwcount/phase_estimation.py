@@ -107,10 +107,12 @@ class EigenphaseMixture:
             raise ValueError(f"need one row of orbit weights per base, got {rows.shape} for {bases.size} bases")
         if not 1 <= rows.shape[1] <= 4:
             raise ValueError(f"an orbit row weighs 1 to 4 members, got {rows.shape[1]}")
+        if not np.isfinite(bases).all():
+            raise ValueError(f"base phases must be finite, got {bases}")
         if rows.size and rows.min() < -_WEIGHT_CLAMP:
             raise ValueError(f"negative mixture weight: {rows.min()}")
         rows = np.clip(rows, 0.0, None)
-        if abs(rows.sum() - 1.0) > 1e-12:
+        if not abs(rows.sum() - 1.0) <= 1e-12:  # NaN fails too
             raise ValueError(f"mixture weights sum to {rows.sum()}, expected 1")
         phases = np.array([member for base in bases.tolist() for member in
                            (base, -base, math.pi - base, -(math.pi - base))[:rows.shape[1]]]) % TWO_PI
@@ -148,7 +150,7 @@ class PhaseDistribution:
         if mass.min() < -_MASS_CLAMP:
             raise ValueError(f"negative probability mass: {mass.min()}")
         mass = np.clip(mass, 0.0, None)
-        if abs(mass.sum() - 1.0) > 1e-10:
+        if not abs(mass.sum() - 1.0) <= 1e-10:  # NaN fails too
             raise ValueError(f"masses sum to {mass.sum()}, expected 1")
         mass.setflags(write=False)
         object.__setattr__(self, "mass", mass)

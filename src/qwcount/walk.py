@@ -16,7 +16,10 @@ the shift is an index map (:func:`_shift_map`), the oracle and the part
 oracles are ±1 sign vectors (:func:`_oracle_signs`), and the ancilla oracle
 is one 2x2 block per arc (:func:`_ancilla_blocks`), both read from the arc
 marks of :func:`_arc_marks`.  The verify suite checks them in that form;
-their public builders are dense views of them.
+their public builders are dense views of them.  :func:`_step_from_coin` is
+the one formula for the step and :func:`_override_signs` the one reader of an
+oracle override.  Every builder reads :attr:`BipartiteInstance.dim`, the one
+size guard, before it allocates.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ResourceLimitError
 from .linalg import as_matrix
 
 __all__ = [
@@ -38,6 +42,9 @@ __all__ = [
     "build_evolution",
     "uniform_state",
 ]
+
+# Largest instance whose arc space (two arcs per edge) any builder allocates.
+MAX_FULL_SPACE_EDGES = 64
 
 
 @dataclass(frozen=True)
@@ -56,6 +63,11 @@ class BipartiteInstance:
 
     def __post_init__(self):
         try:
+            object.__setattr__(self, "n0", operator.index(self.n0))
+            object.__setattr__(self, "n1", operator.index(self.n1))
+        except TypeError as exc:
+            raise ValueError(f"part sizes must be integers: {exc}")
+        try:
             object.__setattr__(self, "marked0", frozenset(operator.index(x) for x in self.marked0))
             object.__setattr__(self, "marked1", frozenset(operator.index(x) for x in self.marked1))
         except TypeError as exc:
@@ -71,6 +83,10 @@ class BipartiteInstance:
     def from_counts(cls, n0: int, n1: int, k0: int, k1: int) -> "BipartiteInstance":
         """Instance with the canonical marked sets ``{0..k0-1}`` and ``{0..k1-1}``,
         whose counts are checked before either set is built."""
+        try:
+            n0, n1, k0, k1 = map(operator.index, (n0, n1, k0, k1))
+        except TypeError as exc:
+            raise ValueError(f"part sizes and marked counts must be integers: {exc}")
         if not (0 <= k0 <= max(n0, 0) and 0 <= k1 <= max(n1, 0)):  # n < 1: __post_init__ says so
             raise ValueError(f"marked counts ({k0}, {k1}) out of range for K_({n0},{n1})")
         return cls(n0, n1, frozenset(range(k0)), frozenset(range(k1)))
@@ -97,8 +113,11 @@ class BipartiteInstance:
 
     @property
     def dim(self) -> int:
-        """Dimension of the arc space (two arcs per edge)."""
-        return 2 * self.n0 * self.n1
+        """Dimension of the arc space (two arcs per edge): the one size guard."""
+        if self.num_edges > MAX_FULL_SPACE_EDGES:
+            raise ResourceLimitError(
+                f"arc space limited to {MAX_FULL_SPACE_EDGES} edges, got {self.num_edges}")
+        return 2 * self.num_edges
 
 
 def _shift_map(inst: BipartiteInstance) -> np.ndarray:
@@ -144,7 +163,7 @@ def _arc_marks(inst: BipartiteInstance) -> tuple[np.ndarray, np.ndarray, np.ndar
     """Per arc: its direction bit, whether its tail is marked, whether its head is.
     The tail of arc ``(u, v)`` is ``u`` in direction 0 and ``v`` in direction 1;
     the head of arc ``a`` is the tail of its reverse ``a ± n0·n1``."""
-    tail = np.zeros((2, inst.n0, inst.n1), dtype=bool)
+    tail = np.zeros(inst.dim, dtype=bool).reshape(2, inst.n0, inst.n1)
     tail[0, list(inst.marked0), :] = True
     tail[1, :, list(inst.marked1)] = True
     tail = tail.ravel()
@@ -211,22 +230,32 @@ def build_ancilla_oracle(inst: BipartiteInstance, part: int) -> np.ndarray:
     return oracle
 
 
-def _as_oracle(inst: BipartiteInstance, oracle) -> np.ndarray:
-    """``oracle`` as a finite matrix on the arc space of ``inst``."""
+def _override_signs(inst: BipartiteInstance, oracle) -> np.ndarray:
+    """The signs of an ``oracle`` override: the diagonal of a real diagonal arc-space matrix."""
     om = as_matrix(oracle)
     if om.shape != (inst.dim, inst.dim):
         raise ValueError(f"oracle shape {om.shape} does not match arc dimension {inst.dim}")
-    return om
+    signs = np.diagonal(om)
+    if om.dtype.kind == "c" or np.count_nonzero(om) != np.count_nonzero(signs):
+        raise ValueError("oracle override must be a real diagonal matrix")
+    return signs
 
 
-def build_evolution(inst: BipartiteInstance, oracle) -> np.ndarray:
-    """One search step: apply ``oracle`` first, then coin, then shift.
+def _step_from_coin(inst: BipartiteInstance, coin: np.ndarray, oracle) -> tuple[np.ndarray, np.ndarray]:
+    """The oracle's signs, and :func:`build_evolution`'s step formed from ``coin``."""
+    signs = _oracle_signs(_arc_marks(inst)) if oracle is None else _override_signs(inst, oracle)
+    return signs, coin[_shift_map(inst)] * signs + 0.0
 
-    The shift is an index map, so ``shift @ coin`` is the coin with its rows
-    gathered by :func:`_shift_map`, exactly; the step is that matrix times
-    ``oracle``, one dense product instead of two.
+
+def build_evolution(inst: BipartiteInstance, oracle=None) -> np.ndarray:
+    """One search step ``shift @ coin @ oracle``: the oracle acts first, then coin, then shift.
+
+    ``oracle`` defaults to :func:`build_oracle`; an override must be a real
+    diagonal matrix (:func:`_override_signs`).  The step is the coin with its
+    rows gathered by :func:`_shift_map` and its columns scaled by the signs,
+    exactly; adding ``0.0`` makes a scaled ``-0.0`` the product's ``+0.0``.
     """
-    return build_coin(inst)[_shift_map(inst)] @ _as_oracle(inst, oracle)
+    return _step_from_coin(inst, build_coin(inst), oracle)[1]
 
 
 def uniform_state(inst: BipartiteInstance) -> np.ndarray:

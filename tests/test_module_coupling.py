@@ -18,9 +18,9 @@ ALLOWED = {
     ("analysis", "reduced", "_reduce_operator"),
     ("analysis", "walk", "_ancilla_blocks"),
     ("analysis", "walk", "_arc_marks"),
-    ("analysis", "walk", "_as_oracle"),
     ("analysis", "walk", "_oracle_signs"),
     ("analysis", "walk", "_shift_map"),
+    ("analysis", "walk", "_step_from_coin"),
     ("counting", "walk", "_check_part"),
     ("reduced", "walk", "_arc_marks"),
 }

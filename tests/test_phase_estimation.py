@@ -28,7 +28,7 @@ import qwcount.phase_estimation as phase_estimation
 from qwcount.cli import main
 from qwcount.counting import grover_mixture
 from qwcount.errors import ResourceLimitError
-from qwcount.phase_estimation import MAX_ANALYTIC_QUBITS, MAX_CIRCUIT_QUBITS
+from qwcount.phase_estimation import MAX_ANALYTIC_QUBITS, MAX_CIRCUIT_QUBITS, grid_indices
 from qwcount.reduced import WalkAngles, part_angle
 
 from conftest import iter_count_instances, radian_masses, random_instances
@@ -156,6 +156,25 @@ def test_mixture_validation():
         EigenphaseMixture([0.1, 0.2], [[0.5], [0.25, 0.25]])
     assert EigenphaseMixture([0.1], [[0.25] * 4]).phases.size == 4
     assert EigenphaseMixture([0.1], [[1.0 + 1e-13, -1e-14]]).weights.min() == 0.0
+
+
+@pytest.mark.parametrize("bases, weights, message", [
+    ([0.1], [[math.nan]], "sum to nan"),
+    ([0.1, 0.2], [[1.0], [math.nan]], "sum to nan"),
+    ([0.1], [[math.inf]], "sum to inf"),
+    ([math.nan], [[1.0]], "base phases must be finite"),
+    ([math.inf], [[1.0]], "base phases must be finite"),
+    ([0.1, -math.inf], [[0.5], [0.5]], "base phases must be finite"),
+], ids=["nan_weight", "nan_second_row", "inf_weight", "nan_base", "inf_base", "neg_inf_base"])
+def test_mixture_rejects_non_finite_input(bases, weights, message):
+    # A NaN compares False both ways, so each check is written to fail on it.
+    with pytest.raises(ValueError, match=message):
+        EigenphaseMixture(bases, weights)
+
+
+def test_exact_distribution_of_nan_mixture_raises():
+    with pytest.raises(ValueError, match="sum to nan"):
+        exact_distribution(EigenphaseMixture([0.1], [[math.nan]]), 3)
 
 
 def test_orbit_tables_keep_their_flat_phases_and_weights():
@@ -338,6 +357,13 @@ def test_phase_distribution_validation():
         PhaseDistribution(2, np.full(3, 1 / 3))
 
 
+@pytest.mark.parametrize("mass", [[math.nan, math.nan], [1.0, math.nan], [math.inf, 0.0],
+                                  [math.inf, math.inf]])
+def test_phase_distribution_rejects_non_finite_masses(mass):
+    with pytest.raises(ValueError, match="masses sum to"):
+        PhaseDistribution(1, mass)
+
+
 def test_circuit_identity_gives_zero_phase():
     dist = circuit_distribution(np.eye(3), np.array([1.0, 0.0, 0.0]), 3)
     assert dist.mass[0] == pytest.approx(1.0, abs=1e-12)
@@ -516,6 +542,39 @@ def test_sample_is_deterministic():
 def test_sample_rejects_zero_draws():
     with pytest.raises(ValueError):
         sample(fig2_distribution(3), seed=1, n=0)
+
+
+def test_grid_indices_exact_cumulative_value_goes_to_next_index():
+    # side="right": a uniform equal to a cumulative value lies past that cell.
+    cumulative = np.array([0.25, 0.5, 0.75, 1.0])
+    assert grid_indices(cumulative, 0.25) == 1
+    assert grid_indices(cumulative, 0.0) == 0
+    assert list(grid_indices(cumulative, np.array([0.25, 0.5, 0.75]))) == [1, 2, 3]
+
+
+def test_grid_indices_caps_uniform_above_a_short_total():
+    # A total that rounded below 1 leaves uniforms above it; they take the last index.
+    cumulative = np.array([0.5, 1.0 - 2**-52])
+    assert grid_indices(cumulative, 1.0 - 2**-53) == 1
+    assert grid_indices(cumulative, 1.0 - 2**-52) == 1
+
+
+def test_grid_indices_never_choose_a_zero_mass_cell():
+    # Uniforms in [0, 1), the cumulative values below 1 among them.
+    cumulative = np.cumsum([0.0, 0.3, 0.0, 0.0, 0.7, 0.0])
+    uniforms = np.concatenate((np.linspace(0.0, 1.0, 1001, endpoint=False),
+                               cumulative[cumulative < 1.0]))
+    picks = grid_indices(cumulative, uniforms)
+    assert set(picks.tolist()) == {1, 4}
+
+
+def test_grid_indices_keeps_the_shape_of_its_input():
+    cumulative = np.array([0.5, 1.0])
+    scalar = grid_indices(cumulative, 0.75)
+    assert np.ndim(scalar) == 0 and scalar == 1
+    array = grid_indices(cumulative, np.array([0.25, 0.75]))
+    assert isinstance(array, np.ndarray) and array.shape == (2,) and list(array) == [0, 1]
+    assert grid_indices(cumulative, np.array([[0.25], [0.75]])).shape == (2, 1)
 
 
 def test_sample_frequencies_match_masses():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,9 +12,14 @@ from qwcount import (
     build_oracle,
     build_part_oracle,
     build_shift,
+    invariant_basis,
     uniform_state,
     unitarity_defect,
+    verify_suite,
 )
+from qwcount.cli import main
+from qwcount.errors import ResourceLimitError
+from qwcount.walk import MAX_FULL_SPACE_EDGES
 
 from conftest import (
     ArcIndex,
@@ -44,6 +50,19 @@ def test_instance_validation():
         BipartiteInstance(2, 2, frozenset({2}), frozenset())
     with pytest.raises(ValueError):
         BipartiteInstance.from_counts(2, 2, 3, 0)
+
+
+def test_part_sizes_must_be_integers():
+    for n0 in (2.5, np.float64(4.0), "4"):
+        with pytest.raises(ValueError, match="part sizes must be integers"):
+            BipartiteInstance(n0, 3)
+    for counts in ((4, 3, 1.5, 0), (2.5, 3, 1, 0), (4, np.float64(3.0), 0, 0)):
+        with pytest.raises(ValueError, match="part sizes and marked counts must be integers"):
+            BipartiteInstance.from_counts(*counts)
+    inst = BipartiteInstance(np.int64(4), 3)
+    assert inst == BipartiteInstance(4, 3) and type(inst.n0) is int
+    assert (BipartiteInstance.from_counts(np.int64(4), 3, np.int64(1), 0)
+            == BipartiteInstance.from_counts(4, 3, 1, 0))
 
 
 def test_instance_derived_counts():
@@ -252,12 +271,13 @@ def corrupt_oracle(inst):
 
 
 def test_evolution_is_bit_equal_to_literal_product():
-    rng = np.random.default_rng(31)
+    # Zero signs included: the scaled coin's -0.0 entries are made +0.0.
     for inst in list(iter_count_instances(5)) + random_instances(30, 8, seed=32):
         oracles = [build_oracle(inst), build_part_oracle(inst, 0), build_part_oracle(inst, 1),
-                   corrupt_oracle(inst), rng.normal(size=(inst.dim, inst.dim))]
+                   corrupt_oracle(inst)]
         for oracle in oracles:
             assert_bit_equal(build_evolution(inst, oracle), literal_evolution(inst, oracle))
+        assert_bit_equal(build_evolution(inst), literal_evolution(inst, build_oracle(inst)))
 
 
 def test_restriction_is_bit_equal_to_literal_sum():
@@ -315,9 +335,67 @@ def test_builders_return_float64(inst):
     assert {name: a.dtype for name, a in arrays.items()} == dict.fromkeys(arrays, np.float64)
 
 
-def test_evolution_with_complex_oracle_is_complex():
-    # dtype promotion alone decides: a complex oracle gives a complex step.
-    oracle = build_oracle(FIG2) * np.exp(0.25j)
-    evolution = build_evolution(FIG2, oracle)
-    assert evolution.dtype == np.complex128
-    assert np.abs(evolution - np.exp(0.25j) * build_evolution(FIG2, build_oracle(FIG2))).max() < 1e-15
+def test_evolution_rejects_oracle_that_is_not_real_diagonal():
+    # The override is read as its diagonal, as the verify suite reads it.
+    off_diagonal = build_oracle(FIG2)
+    off_diagonal[0, 1] = 1.0
+    for oracle in (off_diagonal, build_oracle(FIG2) * np.exp(0.25j),
+                   build_oracle(FIG2).astype(np.complex128)):
+        with pytest.raises(ValueError, match="oracle override must be a real diagonal matrix"):
+            build_evolution(FIG2, oracle)
+
+
+# Every public arc-space builder, and what builds on one.
+ARC_SPACE_BUILDERS = {
+    "build_shift": build_shift,
+    "build_coin": build_coin,
+    "build_oracle": build_oracle,
+    "build_part_oracle": lambda inst: build_part_oracle(inst, 0),
+    "build_ancilla_oracle": lambda inst: build_ancilla_oracle(inst, 1),
+    "build_evolution": build_evolution,
+    "uniform_state": uniform_state,
+    "invariant_basis": invariant_basis,
+    "verify_suite": lambda inst: verify_suite(inst, 2),
+}
+OVERSIZE = [(1, MAX_FULL_SPACE_EDGES + 1), (1000, 1000)]
+
+
+def guard_message(n0, n1):
+    return f"arc space limited to {MAX_FULL_SPACE_EDGES} edges, got {n0 * n1}"
+
+
+@pytest.mark.parametrize("name", list(ARC_SPACE_BUILDERS))
+def test_arc_space_guard_refuses_before_allocating(name):
+    build = ARC_SPACE_BUILDERS[name]
+    assert MAX_FULL_SPACE_EDGES == 64
+    build(BipartiteInstance.from_counts(8, 8, 3, 5))
+    for n0, n1 in OVERSIZE:
+        inst = BipartiteInstance.from_counts(n0, n1, 1, 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match=f"^{guard_message(n0, n1)}$"):
+                build(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16, (n0, n1, peak)
+
+
+CLI_ARC_SPACE_COMMANDS = {
+    "verify": ["verify", "--p", "2"],
+    "verify_corrupt_oracle": ["verify", "--p", "2", "--corrupt-oracle"],
+    "distribution_circuit": ["distribution", "--p", "2", "--engine", "circuit"],
+}
+
+
+@pytest.mark.parametrize("name", list(CLI_ARC_SPACE_COMMANDS))
+def test_cli_arc_space_guard_exits_1(capsys, name):
+    def run(n0, n1):
+        argv = [*CLI_ARC_SPACE_COMMANDS[name], "--n0", str(n0), "--n1", str(n1), "--k0", "1",
+                "--k1", "1"]
+        return main(argv), capsys.readouterr().err
+
+    status, err = run(8, 8)
+    assert status in (0, 2) and err == ""
+    for n0, n1 in OVERSIZE:
+        assert run(n0, n1) == (1, f"error: {guard_message(n0, n1)}\n")
