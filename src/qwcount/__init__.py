@@ -5,12 +5,9 @@ from .errors import ResourceLimitError
 from .linalg import eigen_residual, mat_mul, unitarity_defect
 from .walk import (
     BipartiteInstance,
-    build_ancilla_oracle,
     build_coin,
     build_evolution,
     build_oracle,
-    build_part_oracle,
-    build_shift,
     uniform_state,
 )
 from .reduced import (

@@ -114,7 +114,7 @@ _GRID_FIELDS = ("n0_values", "n1_values", "k0_values", "k1_values", "p_values")
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Grid of instances and register sizes to check, and the checks to run.
+    """Grid of instances and register sizes to check; every point gets every check.
 
     A value list may be given as a ``range``; the grid is sized against
     :data:`MAX_SWEEP_POINTS` before any list is expanded into a tuple.
@@ -125,7 +125,6 @@ class SweepConfig:
     k0_values: tuple[int, ...]
     k1_values: tuple[int, ...]
     p_values: tuple[int, ...]
-    checks: tuple[str, ...] = ("partial", "total")
 
     def __post_init__(self):
         try:
@@ -144,11 +143,6 @@ class SweepConfig:
                 raise ValueError(f"{name} must be nonnegative, got {values}")
         if any(v < 1 for v in self.n0_values + self.n1_values + self.p_values):
             raise ValueError("part sizes and register sizes must be at least 1")
-        unknown = set(self.checks) - {"partial", "total"}
-        if unknown:
-            raise ValueError(f"unknown checks: {sorted(unknown)}")
-        if len(self.checks) == 0:
-            raise ValueError("at least one check must be enabled")
 
 
 def _parse_int_values(text: str, key: str) -> range | tuple[int, ...]:
@@ -190,8 +184,7 @@ def parse_sweep_config(text: str) -> SweepConfig:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
         values[key] = value.strip()
 
-    known = {"n0", "n1", "k0", "k1", "p", "checks"}
-    unknown = set(values) - known
+    unknown = set(values) - {"n0", "n1", "k0", "k1", "p"}
     if unknown:
         raise ValueError(f"unknown configuration keys: {sorted(unknown)}")
     for required in ("n0", "n1", "p"):
@@ -202,9 +195,7 @@ def parse_sweep_config(text: str) -> SweepConfig:
     n1 = _parse_int_values(values["n1"], "n1")
     k0 = _parse_int_values(values["k0"], "k0") if "k0" in values else range(_largest(n0) + 1)
     k1 = _parse_int_values(values["k1"], "k1") if "k1" in values else range(_largest(n1) + 1)
-    p = _parse_int_values(values["p"], "p")
-    checks = tuple(c.strip() for c in values.get("checks", "partial,total").split(",") if c.strip())
-    return SweepConfig(n0, n1, k0, k1, p, checks)
+    return SweepConfig(n0, n1, k0, k1, _parse_int_values(values["p"], "p"))
 
 
 def load_sweep_config(path) -> SweepConfig:
@@ -214,10 +205,7 @@ def load_sweep_config(path) -> SweepConfig:
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """Exact bound masses and pass flags for one grid point.
-
-    Fields for disabled checks are None.
-    """
+    """Exact bound masses and pass flags for one grid point: both parts and the total."""
 
     n0: int
     n1: int
@@ -228,42 +216,36 @@ class SweepRecord:
     theta1: float
     mu: float
     sigma: float
-    part0_bound: float | None
-    part0_mass: float | None
-    part0_pass: bool | None
-    part1_bound: float | None
-    part1_mass: float | None
-    part1_pass: bool | None
-    total_bound: float | None
-    total_mass: float | None
-    total_pass: bool | None
+    part0_bound: float
+    part0_mass: float
+    part0_pass: bool
+    part1_bound: float
+    part1_mass: float
+    part1_pass: bool
+    total_bound: float
+    total_mass: float
+    total_pass: bool
 
     FIELD_ORDER: ClassVar[tuple[str, ...]]
 
     def all_passed(self) -> bool:
-        flags = (self.part0_pass, self.part1_pass, self.total_pass)
-        return all(f for f in flags if f is not None)
+        return self.part0_pass and self.part1_pass and self.total_pass
 
 
 SweepRecord.FIELD_ORDER = tuple(field.name for field in fields(SweepRecord))
 
 
-def _sweep_point(point: tuple[int, int, int, int, int], checks: tuple[str, ...]) -> SweepRecord:
+def _sweep_point(point: tuple[int, int, int, int, int]) -> SweepRecord:
     n0, n1, k0, k1, p = point
     inst = BipartiteInstance.from_counts(n0, n1, k0, k1)
     angles = angles_from_instance(inst)
     joint = full_count(p, inst)
-    partial, total = "partial" in checks, "total" in checks
-    reports = {
-        "part0": _part_report(joint.part0) if partial else None,
-        "part1": _part_report(joint.part1) if partial else None,
-        "total": _total_report(joint) if total else None,
-    }
+    reports = {"part0": _part_report(joint.part0), "part1": _part_report(joint.part1),
+               "total": _total_report(joint)}
     fields = {}
     for name, report in reports.items():
-        values = (None,) * 3 if report is None else (
-            report.bound_value, report.satisfied_mass, report.passed())
-        fields.update(zip((f"{name}_bound", f"{name}_mass", f"{name}_pass"), values))
+        fields.update({f"{name}_bound": report.bound_value, f"{name}_mass": report.satisfied_mass,
+                       f"{name}_pass": report.passed()})
     return SweepRecord(
         n0=n0, n1=n1, k0=k0, k1=k1, p=p,
         theta0=angles.theta0, theta1=angles.theta1, mu=angles.mu, sigma=angles.sigma,
@@ -300,7 +282,7 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
         logger.info("skipped %d infeasible grid points", skipped)
     if not points:
         raise ValueError("sweep config has no feasible grid points")
-    return [_sweep_point(pt, cfg.checks) for pt in points]
+    return [_sweep_point(pt) for pt in points]
 
 
 @dataclass(frozen=True)

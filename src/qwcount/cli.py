@@ -11,9 +11,11 @@ one scalar repeated on every row, or a ``(values, codes)`` pair.  :func:`emit`,
 the one writer for every command, formats the distinct values of a numeric
 column (a strictly increasing one without sorting it), or a pair's values,
 with one ``%`` operation and writes each block before it takes the next.  The
-exact ``count --part both`` table, ``4^p`` rows, comes in blocks of at most
-``_BLOCK_ROWS`` rows (per-part columns as pairs formatted once per table), is
-never held whole, and is limited to :data:`MAX_JOINT_ROWS` rows (``p <= 10``).
+tables with a row per grid index (``distribution`` and ``count --mode
+exact``) come in blocks of at most ``_BLOCK_ROWS`` rows and are never held
+whole.  The ``count --part both`` table, ``4^p`` rows, formats its per-part
+columns as pairs once per table and is limited to :data:`MAX_JOINT_ROWS` rows
+(``p <= 10``).
 
 :func:`main` parses with one parser per process, built on its first call, so
 in-process callers pay for the argparse tree once.
@@ -303,14 +305,32 @@ def _cmd_distribution(args):
         dist = circuit_distribution(build_evolution(inst), uniform_state(inst), args.p)
     columns = {"p": dist.p, "omega_index": np.arange(dist.n_points),
                "omega_radians": dist.omegas(), "mass": dist.mass}
-    return [columns], DISTRIBUTION_FIELDS, 0
+    return _row_blocks(columns, dist.n_points), DISTRIBUTION_FIELDS, 0
 
 
-def _part_columns(dist) -> dict:
-    return {"p": dist.p, "part": dist.part, "n_part": dist.n_target, "k_part": dist.k_true,
-            "omega_index": np.arange(dist.mass.size), "omega_radians": dist.omega,
-            "theta_est": dist.theta_est, "k_est": dist.k_est, "mass": dist.mass,
-            "bound": dist.bound, "oracle_queries": dist.oracle_queries}
+def _row_blocks(columns: dict, size: int):
+    """A table of ``size`` rows in blocks of at most ``_BLOCK_ROWS`` rows.
+
+    Scalars repeat on every row and strictly increasing arrays are sliced.
+    Any other array becomes a ``(values, codes)`` pair over its distinct
+    bits, so each of its values is formatted once per table, not per block.
+    """
+    for name, c in columns.items():
+        if isinstance(c, np.ndarray) and not (c[1:] > c[:-1]).all():
+            bits, codes = np.unique(c.view(f"u{c.itemsize}"), return_inverse=True)
+            columns[name] = (bits.view(c.dtype), codes)
+    for start in range(0, size, _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        yield {name: (c[0], c[1][rows]) if isinstance(c, tuple) else
+               c[rows] if isinstance(c, np.ndarray) else c for name, c in columns.items()}
+
+
+def _part_blocks(dist):
+    return _row_blocks({
+        "p": dist.p, "part": dist.part, "n_part": dist.n_target, "k_part": dist.k_true,
+        "omega_index": np.arange(dist.mass.size), "omega_radians": dist.omega,
+        "theta_est": dist.theta_est, "k_est": dist.k_est, "mass": dist.mass,
+        "bound": dist.bound, "oracle_queries": dist.oracle_queries}, dist.mass.size)
 
 
 def _check_joint_rows(p: int) -> None:
@@ -367,7 +387,7 @@ def _cmd_count(args):
     if args.mode == "exact":
         if part is None:
             return _joint_blocks(dist), TOTAL_COUNT_FIELDS, 0
-        return [_part_columns(dist)], PART_COUNT_FIELDS, 0
+        return _part_blocks(dist), PART_COUNT_FIELDS, 0
 
     # One pushforward per run.  Trial t takes one uniform per part (part 0
     # first) from its own derived generator; this is the package's only sampler.

@@ -31,7 +31,7 @@ import numpy as np
 
 from .phase_estimation import TWO_PI, EigenphaseMixture, exact_distribution
 from .reduced import WalkAngles, eigenphase_table, part_angle
-from .walk import BipartiteInstance, _check_part
+from .walk import BipartiteInstance
 
 __all__ = [
     "partial_count_error_bound",
@@ -195,8 +195,8 @@ def _mirror(index: np.ndarray, size: int) -> np.ndarray:
 def _count_distribution(mixture: EigenphaseMixture, p: int, n_target: int, k_true: int,
                         part: int | None, fold, to_k) -> CountDistribution:
     """Push ``mixture`` forward: ``fold`` maps grid indices, ``to_k`` folded phases."""
-    size = 2**p
-    dist = exact_distribution(mixture, p)
+    dist = exact_distribution(mixture, p)  # refuses a register before 2**p is formed
+    size = dist.n_points
     theta_est = TWO_PI * fold(np.arange(size), size) / size
     return CountDistribution(p=p, n_target=n_target, k_true=k_true, part=part,
                              bound=partial_count_error_bound(k_true, n_target, size),
@@ -216,7 +216,8 @@ def partial_count(p: int, inst: BipartiteInstance, part: int) -> CountDistributi
     ``k_part``) given ``p >= 2``; at ``p = 1`` both give 0.  The paper's
     ``8(1 − 2^{-t})/π²`` is read with ``t = p``, an assumption.
     """
-    _check_part(part)
+    if part not in (0, 1):
+        raise ValueError(f"part must be 0 or 1, got {part}")
     n_part, k_part = (inst.n0, inst.k0) if part == 0 else (inst.n1, inst.k1)
     return _count_distribution(
         eigenphase_table(WalkAngles.from_thetas(part_angle(k_part, n_part), 0.0)),

@@ -186,15 +186,24 @@ def _kernel(numerator, x, grid_size: int):
     return np.where(singular, 1.0, np.minimum(values, 1.0))
 
 
-def _grid_kernel(turn: float, grid_size: int) -> np.ndarray:
-    """The kernel of phase ``turn`` (in turns) at every grid index ``m``.
+def _grid_position(turn: float, p: int) -> float:
+    """``P·t``, the grid position of a phase of ``t`` turns on ``P = 2^p`` points, exact.
+    From 2^52 on a float64 position has no fraction of a cell left, so one
+    that is not a finite float below 2^52 is refused before ``2^p`` is formed."""
+    if not abs(turn) < 2.0 ** (52 - p):
+        raise ValueError(f"grid position of a phase of {turn!r} turns at p={p} "
+                         f"is not a finite float below 2^52")
+    return math.ldexp(turn, p)
+
+
+def _grid_kernel(position: float, grid_size: int) -> np.ndarray:
+    """The kernel of the phase at grid ``position`` ``P·t`` at every grid index ``m``.
 
     ``x = P·t − m`` is formed as ``f − j``: ``f = Pt − rint(Pt)`` is exact,
     and so is the integer ``j = m − rint(Pt)`` reduced into ``[−P/2, P/2)``.
     Their difference is exact at the peak (``j = 0``) and rounds once, to a
-    relative error of eps, elsewhere, whatever the sign or size of ``t``.
+    relative error of eps, elsewhere, whatever the sign of ``t``.
     """
-    position = grid_size * turn
     nearest = round(position)
     frac = position - nearest
     half = grid_size // 2
@@ -228,6 +237,8 @@ def exact_distribution(mixture: EigenphaseMixture, p: int) -> PhaseDistribution:
 
     Raises
     ------
+    ValueError
+        If ``p < 1``, or a base's grid position is past :func:`_grid_position`.
     ResourceLimitError
         If ``p`` exceeds :data:`MAX_ANALYTIC_QUBITS`.
     """
@@ -235,10 +246,11 @@ def exact_distribution(mixture: EigenphaseMixture, p: int) -> PhaseDistribution:
         raise ValueError(f"register size must be at least 1 qubit, got {p}")
     if p > MAX_ANALYTIC_QUBITS:
         raise ResourceLimitError(f"analytic engine limited to p <= {MAX_ANALYTIC_QUBITS}, got {p}")
+    orbits = [(_grid_position(turn, p), weights) for turn, weights in mixture._orbits()]
     n, half = 2**p, 2**(p - 1)
     mass = np.zeros(n)
-    for turn, (w_t, w_minus_t, w_half_minus_t, w_t_minus_half) in mixture._orbits():
-        kernel = _grid_kernel(turn, n)
+    for position, (w_t, w_minus_t, w_half_minus_t, w_t_minus_half) in orbits:
+        kernel = _grid_kernel(position, n)
         mirrored = np.concatenate((kernel[:1], kernel[:0:-1]))
         mass += w_t * kernel + w_minus_t * mirrored
         shifted = w_t_minus_half * kernel + w_half_minus_t * mirrored
@@ -351,21 +363,17 @@ def total_variation(a: PhaseDistribution, b: PhaseDistribution) -> float:
     return float(0.5 * np.abs(a.mass - b.mass).sum())
 
 
-def _grid_neighbor_indices(theta: float, p: int) -> tuple[int, ...]:
-    """Indices of the grid phases that round ``theta`` down and up (equal on-grid)."""
-    n = 2**p
-    position = float(np.asarray(theta) % TWO_PI) * n / TWO_PI
-    lo = int(math.floor(position)) % n
-    hi = int(math.ceil(position)) % n
-    return (lo,) if lo == hi else (lo, hi)
-
-
 def good_estimate_mass(theta: float, p: int) -> float:
     """Probability that estimation of ``theta`` returns one of its two grid neighbors.
 
     At least :data:`GOOD_ESTIMATE_PROBABILITY` for every ``theta``; equals 1
-    when ``theta`` lies on the grid.
+    when ``theta`` lies on the grid.  ``ValueError`` unless ``theta`` is finite
+    and ``p`` is 1 to 52, so that every grid position is below 2^52.
     """
+    if not 1 <= p <= 52:
+        raise ValueError(f"register size must be 1 to 52 qubits, got {p}")
+    position = _grid_position(float(theta) % TWO_PI / TWO_PI, p)
     n = 2**p
-    neighbors = np.array(_grid_neighbor_indices(theta, p))
+    # The grid phases that round theta down and up, one index when on-grid.
+    neighbors = np.unique([math.floor(position) % n, math.ceil(position) % n])
     return float(fourier_kernel(theta, TWO_PI * neighbors / n, n).sum())

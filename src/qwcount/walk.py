@@ -11,15 +11,16 @@ every tail vertex, then the arc-reversing shift.  Every entry of these
 operators is real (0, ±1 or ``2/d - δ``), so every builder returns a float64
 array and the step is a real orthogonal matrix.
 
-The exact-integer operators each have one owner that keeps their structure:
-the shift is an index map (:func:`_shift_map`), the oracle and the part
-oracles are ±1 sign vectors (:func:`_oracle_signs`), and the ancilla oracle
-is one 2x2 block per arc (:func:`_ancilla_blocks`), both read from the arc
-marks of :func:`_arc_marks`.  The verify suite checks them in that form;
-their public builders are dense views of them.  :func:`_step_from_coin` is
-the one formula for the step and :func:`_override_signs` the one reader of an
-oracle override.  Every builder reads :attr:`BipartiteInstance.dim`, the one
-size guard, before it allocates.
+The exact-integer operators are kept in one form each, their structure: the
+shift is an index map (:func:`_shift_map`), the oracle and the part oracles
+are ±1 sign vectors (:func:`_oracle_signs`), and the ancilla oracle is one
+2x2 block per arc (:func:`_ancilla_blocks`), both read from the arc marks of
+:func:`_arc_marks`.  The verify suite checks them in that form.  Only the
+coin and the oracle have dense builders: the step and the CLI's
+``--corrupt-oracle`` use them.  :func:`_step_from_coin` is the one formula
+for the step and :func:`_override_signs` the one reader of an oracle
+override.  Every builder reads :attr:`BipartiteInstance.dim`, the one size
+guard, before it allocates.
 """
 
 from __future__ import annotations
@@ -34,11 +35,8 @@ from .linalg import as_matrix
 
 __all__ = [
     "BipartiteInstance",
-    "build_shift",
     "build_coin",
     "build_oracle",
-    "build_part_oracle",
-    "build_ancilla_oracle",
     "build_evolution",
     "uniform_state",
 ]
@@ -129,14 +127,6 @@ def _shift_map(inst: BipartiteInstance) -> np.ndarray:
     return np.arange(inst.num_edges, inst.num_edges + inst.dim) % inst.dim
 
 
-def build_shift(inst: BipartiteInstance) -> np.ndarray:
-    """Flip-flop shift ``X ⊗ I``: swaps each arc ``a`` with its reverse ``a ± n0·n1``.  Involution.
-    The dense view of :func:`_shift_map`."""
-    shift = np.zeros((inst.dim, inst.dim))
-    shift[np.arange(inst.dim), _shift_map(inst)] = 1.0
-    return shift
-
-
 def _grover_block(d: int) -> np.ndarray:
     """Reflection about the uniform state on d outgoing arcs: (2/d)J - I."""
     return (2.0 / d) * np.ones((d, d)) - np.eye(d)
@@ -184,50 +174,17 @@ def build_oracle(inst: BipartiteInstance) -> np.ndarray:
     return np.diag(_oracle_signs(_arc_marks(inst)))
 
 
-def _check_part(part: int) -> None:
-    if part not in (0, 1):
-        raise ValueError(f"part must be 0 or 1, got {part}")
-
-
-def build_part_oracle(inst: BipartiteInstance, part: int) -> np.ndarray:
-    """Oracle restricted to one part: acts like the full oracle on arcs with
-    direction bit ``part`` and as the identity elsewhere."""
-    _check_part(part)
-    return np.diag(_oracle_signs(_arc_marks(inst), part))
-
-
 def _ancilla_blocks(marks: tuple[np.ndarray, np.ndarray, np.ndarray], part: int) -> np.ndarray:
     """The 2x2 ancilla block of each arc from :func:`_arc_marks`, shape ``(dim, 2, 2)``:
     the identity if the arc's tail is unmarked, ``X`` if it is marked, and
-    ``−X`` if it is marked and the arc's direction is ``part``.  Zeros are ``+0.0``."""
+    ``−X`` if it is marked and the arc's direction is ``part``: the circuit
+    ``CZ_part · F · CZ_part``, which acts as the part oracle on an ancilla in
+    ``|+⟩`` and leaves it there.  Zeros are ``+0.0``."""
     direction, marked, _ = marks
     blocks = np.zeros((len(marked), 2, 2))
     blocks[~marked, 0, 0] = blocks[~marked, 1, 1] = 1.0
     blocks[marked, 0, 1] = blocks[marked, 1, 0] = np.where(direction[marked] == part, -1.0, 1.0)
     return blocks
-
-
-def build_ancilla_oracle(inst: BipartiteInstance, part: int) -> np.ndarray:
-    """Ancilla-circuit realization of the part-restricted oracle.
-
-    Acts on the doubled space (arc ⊗ ancilla qubit, flat index ``2*arc + bit``)
-    as ``CZ_part · F · CZ_part`` where ``F`` flips the ancilla bit on
-    marked-tail arcs and ``CZ_part`` applies a phase flip to the ancilla
-    ``|1⟩`` component on arcs with direction bit ``part``.  With the ancilla
-    prepared in ``|+⟩`` this reproduces :func:`build_part_oracle` and returns
-    the ancilla to ``|+⟩``.
-
-    The matrix is block-diagonal with one 2x2 block per arc (the two phase
-    flips cancel on an unmarked arc), the dense view of :func:`_ancilla_blocks`:
-    the blocks are written into one zero-filled array through a
-    ``(dim, 2, dim, 2)`` view, at arc = arc'.
-    """
-    _check_part(part)
-    blocks = _ancilla_blocks(_arc_marks(inst), part)
-    oracle = np.zeros((2 * inst.dim, 2 * inst.dim))
-    arcs = np.arange(inst.dim)
-    oracle.reshape(inst.dim, 2, inst.dim, 2)[arcs, :, arcs, :] = blocks
-    return oracle
 
 
 def _override_signs(inst: BipartiteInstance, oracle) -> np.ndarray:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import qwcount
-from qwcount import BASIS_LABELS, BipartiteInstance, build_coin, build_shift
+from qwcount import BASIS_LABELS, BipartiteInstance, build_coin, walk
 
 
 @pytest.fixture
@@ -132,6 +132,46 @@ def single_part_instance(inst: BipartiteInstance, part: int) -> BipartiteInstanc
     if part == 0:
         return replace(inst, marked1=frozenset())
     return replace(inst, marked0=frozenset())
+
+
+# Dense views of the structures qwcount.walk keeps the exact-integer
+# operators in: the matrices the verify rows and the criteria are checked
+# against.  They read each structure through the module at call time, so a
+# test that patches a walk helper sees the patched structure here too.
+
+
+def _check_part(part: int) -> None:
+    if part not in (0, 1):
+        raise ValueError(f"part must be 0 or 1, got {part}")
+
+
+def build_shift(inst: BipartiteInstance) -> np.ndarray:
+    """Flip-flop shift ``X ⊗ I``: row ``a`` holds its one 1 in column ``walk._shift_map(inst)[a]``."""
+    shift = np.zeros((inst.dim, inst.dim))
+    shift[np.arange(inst.dim), walk._shift_map(inst)] = 1.0
+    return shift
+
+
+def build_part_oracle(inst: BipartiteInstance, part: int) -> np.ndarray:
+    """Oracle restricted to one part: ``diag`` of ``walk._oracle_signs`` in direction ``part``."""
+    _check_part(part)
+    return np.diag(walk._oracle_signs(walk._arc_marks(inst), part))
+
+
+def build_ancilla_oracle(inst: BipartiteInstance, part: int) -> np.ndarray:
+    """Ancilla-circuit realization ``CZ_part · F · CZ_part`` of the part oracle.
+
+    Acts on the doubled space (arc ⊗ ancilla qubit, flat index ``2*arc + bit``)
+    and is block-diagonal with the 2x2 blocks of ``walk._ancilla_blocks``,
+    written into one zero-filled array through a ``(dim, 2, dim, 2)`` view,
+    at arc = arc'.
+    """
+    _check_part(part)
+    blocks = walk._ancilla_blocks(walk._arc_marks(inst), part)
+    oracle = np.zeros((2 * inst.dim, 2 * inst.dim))
+    arcs = np.arange(inst.dim)
+    oracle.reshape(inst.dim, 2, inst.dim, 2)[arcs, :, arcs, :] = blocks
+    return oracle
 
 
 # Literal references for the arc-space builders that qwcount.walk computes

@@ -31,13 +31,10 @@ from qwcount import (
     adjusted_full_count_error_bound,
     adjusted_partial_count_error_bound,
     angles_from_instance,
-    build_ancilla_oracle,
     build_coin,
     build_evolution,
     build_oracle,
-    build_part_oracle,
     build_reduced_evolution,
-    build_shift,
     circuit_distribution,
     eigen_residual,
     eigenphase_table,
@@ -57,7 +54,15 @@ from qwcount import (
     unitarity_defect,
 )
 
-from conftest import estimate_k, fold_phase, package_env, restrict_to_plus_ancilla
+from conftest import (
+    build_ancilla_oracle,
+    build_part_oracle,
+    build_shift,
+    estimate_k,
+    fold_phase,
+    package_env,
+    restrict_to_plus_ancilla,
+)
 
 TWO_PI = 2 * math.pi
 

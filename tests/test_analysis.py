@@ -91,7 +91,6 @@ def test_parse_sweep_config_ranges_and_lists():
         k0 = 0,2
         k1 = 0..1
         p = 4,6
-        checks = partial
         """
     )
     assert cfg.n0_values == (2, 3, 4)
@@ -99,14 +98,12 @@ def test_parse_sweep_config_ranges_and_lists():
     assert cfg.k0_values == (0, 2)
     assert cfg.k1_values == (0, 1)
     assert cfg.p_values == (4, 6)
-    assert cfg.checks == ("partial",)
 
 
 def test_parse_sweep_config_defaults_k_ranges():
     cfg = parse_sweep_config("n0 = 2..3\nn1 = 2\np = 4\n")
     assert cfg.k0_values == (0, 1, 2, 3)
     assert cfg.k1_values == (0, 1, 2)
-    assert cfg.checks == ("partial", "total")
 
 
 def test_parse_sweep_config_rejects_unknown_key():
@@ -116,6 +113,9 @@ def test_parse_sweep_config_rejects_unknown_key():
         parse_sweep_config("n0 = 2\nn1 = 2\n")  # missing p
     with pytest.raises(ValueError):
         parse_sweep_config("n0 = 2\nn0 = 3\nn1 = 2\np = 4\n")
+    # Every point gets every check: the config has no key to choose them.
+    with pytest.raises(ValueError, match=r"^unknown configuration keys: \['checks'\]$"):
+        parse_sweep_config("n0 = 2\nn1 = 2\np = 4\nchecks = partial\n")
 
 
 def test_sweep_grid_guard_counts_candidate_points():
@@ -143,10 +143,10 @@ def test_sweep_record_field_order_follows_the_fields():
 
 
 def test_sweep_config_validation():
+    assert [field.name for field in dataclasses.fields(SweepConfig)] == [
+        "n0_values", "n1_values", "k0_values", "k1_values", "p_values"]
     with pytest.raises(ValueError):
         SweepConfig((), (2,), (0,), (0,), (4,))
-    with pytest.raises(ValueError):
-        SweepConfig((2,), (2,), (0,), (0,), (4,), checks=("bogus",))
 
 
 def test_run_sweep_single_point_matches_direct_calls():
@@ -158,6 +158,7 @@ def test_run_sweep_single_point_matches_direct_calls():
     assert record.part0_mass == bound_satisfaction_mass(inst, 0, 5).satisfied_mass
     assert record.part1_mass == bound_satisfaction_mass(inst, 1, 5).satisfied_mass
     assert record.total_mass == joint_success_mass(inst, 5).satisfied_mass
+    assert None not in dataclasses.astuple(record)
     assert record.theta0 == pytest.approx(math.pi / 2, abs=1e-15)
 
 
@@ -231,36 +232,6 @@ def test_verify_suite_pushes_each_part_forward_once(part_pushforwards):
 def test_run_sweep_pushes_each_part_forward_once(part_pushforwards):
     run_sweep(SweepConfig((4,), (3,), (2,), (1,), (5,)))
     assert len(part_pushforwards) == 2
-
-
-def test_run_sweep_check_subsets_match_full_run(monkeypatch):
-    grid = ((2, 4), (3,), (0, 1, 2), (1,), (4, 6))
-    full = run_sweep(SweepConfig(*grid))
-
-    def no_joint_mass(self, radius):
-        raise AssertionError("partial-only sweep computed a joint mass")
-
-    with monkeypatch.context() as patched:
-        patched.setattr(FullCountDistribution, "mass_within", no_joint_mass)
-        partial = run_sweep(SweepConfig(*grid, checks=("partial",)))
-    total = run_sweep(SweepConfig(*grid, checks=("total",)))
-    for subset, enabled in ((partial, ("part0", "part1")), (total, ("total",))):
-        assert len(subset) == len(full)
-        for got, want in zip(subset, full):
-            for name, value in dataclasses.asdict(got).items():
-                prefix = name.rsplit("_", 1)[0]
-                if prefix in ("part0", "part1", "total") and prefix not in enabled:
-                    assert value is None
-                else:
-                    assert value == getattr(want, name)
-
-
-def test_run_sweep_partial_only():
-    cfg = SweepConfig((3,), (3,), (1,), (1,), (4,), checks=("partial",))
-    record = run_sweep(cfg)[0]
-    assert record.total_mass is None and record.total_pass is None
-    assert record.part0_mass is not None
-    assert record.all_passed() == bool(record.part0_pass and record.part1_pass)
 
 
 def test_verify_suite_fig2_passes(fig2):

@@ -275,6 +275,15 @@ def test_sweep_config_format_key_is_rejected(capsys, tmp_path):
     assert "unknown configuration keys: ['format']" in err
 
 
+def test_sweep_config_checks_key_is_rejected(capsys, tmp_path):
+    # Every point gets the part and total checks; the config cannot choose them.
+    config = tmp_path / "sweep.cfg"
+    config.write_text("n0 = 2\nn1 = 2\nk0 = 1\nk1 = 0\np = 4\nchecks = partial\n")
+    status, out, err = run_cli(capsys, "sweep", "--config", str(config))
+    assert status == 1 and out == ""
+    assert err == "error: invalid sweep config: unknown configuration keys: ['checks']\n"
+
+
 def test_commands_leave_the_parsed_arguments_alone(tmp_path):
     config = tmp_path / "sweep.cfg"
     config.write_text("n0 = 2\nn1 = 2\nk0 = 1\nk1 = 0\np = 4\n")

@@ -25,6 +25,7 @@ from qwcount import (
 from qwcount.reduced import angles_from_instance, eigenphase_table
 
 from conftest import (
+    build_part_oracle,
     estimate_k,
     fold_phase,
     iter_count_instances,
@@ -283,7 +284,7 @@ def test_partial_count_metadata():
 def test_partial_count_matches_circuit_pushforward():
     # Independent route: simulate the circuit on the full arc space with the
     # part-restricted oracle, fold every outcome, and accumulate masses.
-    from qwcount import build_evolution, build_part_oracle, uniform_state
+    from qwcount import build_evolution, uniform_state
 
     inst = BipartiteInstance.from_counts(1, 7, 0, 3)
     p = 5

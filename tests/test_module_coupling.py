@@ -1,7 +1,11 @@
-"""Private names that one ``qwcount`` module imports from another.
+"""Private names that one ``qwcount`` module imports from another, and
+public names that no ``qwcount`` module uses.
 
 A private helper shared across modules couples them.  Every such import is
-listed in ``ALLOWED``, so adding one is a visible change to this file.
+listed in ``ALLOWED``, so adding one is a visible change to this file.  A
+public function or class that no module of the package references is there
+for callers outside it only; each is listed in ``UNREFERENCED`` with the
+caller that keeps it, so adding one is a visible change too.
 """
 
 import ast
@@ -21,25 +25,64 @@ ALLOWED = {
     ("analysis", "walk", "_oracle_signs"),
     ("analysis", "walk", "_shift_map"),
     ("analysis", "walk", "_step_from_coin"),
-    ("counting", "walk", "_check_part"),
     ("reduced", "walk", "_arc_marks"),
 }
 
 
+# (defining module, name): the callers outside the package that keep it.
+UNREFERENCED = {
+    ("analysis", "bound_satisfaction_mass"): "the benchmark's workloads",
+    ("analysis", "joint_success_mass"): "the benchmark's workloads",
+    ("counting", "grover_count"): "the benchmark's workloads and acceptance criterion 09",
+    ("linalg", "mat_mul"): "the benchmark's tracer test",
+    ("counting", "adjusted_partial_count_error_bound"): "acceptance criterion 07",
+    ("counting", "adjusted_full_count_error_bound"): "acceptance criterion 08",
+    ("reduced", "reduce_operator"): "acceptance criterion 02",
+    ("linalg", "eigen_residual"): "acceptance criterion 03",
+    ("phase_estimation", "good_estimate_mass"): "acceptance criterion 06",
+    ("phase_estimation", "sample"): "acceptance criterion 11",
+}
+
+
+def _modules():
+    for path in Path(qwcount.__file__).parent.glob("*.py"):
+        yield path.stem, ast.parse(path.read_text(encoding="utf-8"))
+
+
 def _private_imports():
     found = set()
-    for path in Path(qwcount.__file__).parent.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for stem, tree in _modules():
+        for node in ast.walk(tree):
             if not isinstance(node, ast.ImportFrom):
                 continue
             module = node.module or ""
             if node.level == 0 and not module.startswith("qwcount."):
                 continue
             source = module.removeprefix("qwcount.")
-            found.update((path.stem, source, alias.name) for alias in node.names
+            found.update((stem, source, alias.name) for alias in node.names
                          if alias.name.startswith("_") and not alias.name.startswith("__"))
     return found
 
 
 def test_private_cross_module_imports_are_listed():
     assert _private_imports() == ALLOWED
+
+
+def _unreferenced_public_names():
+    """Top-level public functions and classes that no ``Name`` or
+    ``Attribute`` node of the package reads; an import is neither."""
+    defined, referenced = set(), set()
+    for stem, tree in _modules():
+        defined.update((stem, node.name) for node in tree.body
+                       if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                       and not node.name.startswith("_"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    return {(stem, name) for stem, name in defined if name not in referenced}
+
+
+def test_public_names_no_module_uses_are_listed():
+    assert _unreferenced_public_names() == set(UNREFERENCED)

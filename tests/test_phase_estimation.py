@@ -121,6 +121,26 @@ def test_good_estimate_mass_midpoint():
     assert good_estimate_mass(theta, 3) == pytest.approx(2 * MIDPOINT_KERNEL_P8, abs=1e-12)
 
 
+def test_a_grid_position_past_float_resolution_is_a_value_error():
+    # From 2^52 on a float64 grid position P·t is a whole number.
+    beyond = "is not a finite float below 2\\^52"
+    for base in (1e308, 1e20, -1e20, TWO_PI * 2**32):
+        with pytest.raises(ValueError, match=beyond):
+            exact_distribution(EigenphaseMixture([base], [[1.0]]), MAX_ANALYTIC_QUBITS)
+    # The largest accepted base at p = 20 sits at position 2^51.
+    far = exact_distribution(EigenphaseMixture([TWO_PI * (2**31 + 0.25)], [[1.0]]), 20)
+    assert far.mass.argmax() == 2**18
+    for theta in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=beyond):
+            good_estimate_mass(theta, 4)
+    for p in (0, -1, 53, 2000, 2**63):
+        with pytest.raises(ValueError, match=f"^register size must be 1 to 52 qubits, got {p}$"):
+            good_estimate_mass(0.1, p)
+    for p in range(1, 53):
+        for theta in (0.0, 0.1, math.pi, 6.28):
+            assert 0.0 < good_estimate_mass(theta, p) <= 1.0
+
+
 def test_exact_distribution_point_mass():
     mixture = EigenphaseMixture([TWO_PI * 3 / 16], [[1.0]])
     dist = exact_distribution(mixture, 4)

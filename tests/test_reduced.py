@@ -11,7 +11,6 @@ from qwcount import (
     build_evolution,
     build_oracle,
     build_reduced_evolution,
-    build_shift,
     eigen_residual,
     eigenphase_table,
     invariant_basis,
@@ -25,6 +24,7 @@ from qwcount import (
 from conftest import (
     ArcIndex,
     arc_to_flat,
+    build_shift,
     iter_count_instances,
     kron_invariant_basis,
     random_instances,

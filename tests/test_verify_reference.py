@@ -2,10 +2,10 @@
 
 ``verify_suite`` checks the shift, the oracles and the ancilla oracles on
 the structure ``walk`` builds them from.  The reference here forms every row
-the dense way, from the public builders: Grams, products and the strided
-``|+⟩`` restriction of the dense matrices.  Each row must agree to the bit,
-and a broken structure must fail its rows with the value the dense matrix
-of that structure gives.
+the dense way, from the dense builders and the conftest views of those
+structures: Grams, products and the strided ``|+⟩`` restriction of the dense
+matrices.  Each row must agree to the bit, and a broken structure must fail
+its rows with the value the dense matrix of that structure gives.
 """
 
 import numpy as np
@@ -14,13 +14,10 @@ import pytest
 from qwcount import (
     BipartiteInstance,
     angles_from_instance,
-    build_ancilla_oracle,
     build_coin,
     build_evolution,
     build_oracle,
-    build_part_oracle,
     build_reduced_evolution,
-    build_shift,
     circuit_distribution,
     eigen_residual,
     eigenphase_table,
@@ -36,7 +33,7 @@ from qwcount import (
 )
 from qwcount import analysis, linalg, walk
 
-from conftest import restrict_to_plus_ancilla
+from conftest import build_ancilla_oracle, build_part_oracle, build_shift, restrict_to_plus_ancilla
 
 
 def identity_distance(m):
@@ -147,8 +144,8 @@ def test_default_path_neither_validates_nor_detects(monkeypatch):
 
 
 # Negative controls: each structured helper broken in one place.  The
-# public builders read the same helper, so the dense reference sees the same
-# broken operator.
+# dense builders and views read the same helper, so the dense reference sees
+# the same broken operator.
 
 FIG = BipartiteInstance(3, 4, frozenset({2}), frozenset({1, 3}))
 

@@ -6,12 +6,9 @@ import pytest
 
 from qwcount import (
     BipartiteInstance,
-    build_ancilla_oracle,
     build_coin,
     build_evolution,
     build_oracle,
-    build_part_oracle,
-    build_shift,
     invariant_basis,
     uniform_state,
     unitarity_defect,
@@ -24,6 +21,9 @@ from qwcount.walk import MAX_FULL_SPACE_EDGES
 from conftest import (
     ArcIndex,
     arc_to_flat,
+    build_ancilla_oracle,
+    build_part_oracle,
+    build_shift,
     flat_to_arc,
     iter_count_instances,
     kron_coin,
