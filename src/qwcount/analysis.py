@@ -362,9 +362,11 @@ def verify_suite(inst: BipartiteInstance, p: int, *,
     ------
     ResourceLimitError
         If the instance has more than :data:`MAX_FULL_SPACE_EDGES` edges,
-        the arc-space guard of :mod:`qwcount.walk`.
+        the arc-space guard of :mod:`qwcount.walk`, or ``p`` is past the
+        circuit engine's limit, which is met before any distribution is formed.
     ValueError
-        If ``oracle`` is not a real diagonal matrix of the arc dimension.
+        If ``oracle`` is not a real diagonal matrix of the arc dimension, or
+        ``p < 1``.
     """
     checks: list[CheckResult] = []
 
@@ -422,13 +424,15 @@ def verify_suite(inst: BipartiteInstance, p: int, *,
     check_max("overlap_closed_form", np.abs(overlaps - closed_forms).max(), _RESIDUAL_TOL)
     check_max("overlap_sum", abs(overlaps.sum() - 1.0), _RESIDUAL_TOL)
 
-    analytic_dist = exact_distribution(eigenphase_table(angles), p)
+    # The circuit first: its own guard refuses a register before the analytic
+    # engine fills one.  A refused step reports the largest possible TV; the
+    # analytic engine then raises for p < 1.
     try:
         circuit_dist = _circuit_marginal(evolution, uniform_state(inst), p, evolution_defect)
-    except ValueError:  # the circuit refuses the step: report the largest possible TV
-        circuit_tv = 1.0
-    else:
-        circuit_tv = total_variation(analytic_dist, circuit_dist)
+    except ValueError:
+        circuit_dist = None
+    analytic_dist = exact_distribution(eigenphase_table(angles), p)
+    circuit_tv = 1.0 if circuit_dist is None else total_variation(analytic_dist, circuit_dist)
     check_max("analytic_circuit_tv", circuit_tv, _CROSS_MODE_TOL)
 
     joint = full_count(p, inst)

@@ -8,14 +8,14 @@ suite on one instance).
 
 Each command returns its table as blocks of columns: a numpy array, a list,
 one scalar repeated on every row, or a ``(values, codes)`` pair.  :func:`emit`,
-the one writer for every command, formats the distinct values of a numeric
-column (a strictly increasing one without sorting it), or a pair's values,
-with one ``%`` operation and writes each block before it takes the next.  The
-tables with a row per grid index (``distribution`` and ``count --mode
-exact``) come in blocks of at most ``_BLOCK_ROWS`` rows and are never held
-whole.  The ``count --part both`` table, ``4^p`` rows, formats its per-part
-columns as pairs once per table and is limited to :data:`MAX_JOINT_ROWS` rows
-(``p <= 10``).
+the one writer for every command, formats a numeric column, or a pair's
+values, with one ``%`` operation and writes each block before it takes the
+next.  The tables with a row per grid index or per trial come in blocks of at
+most ``_BLOCK_ROWS`` rows from :func:`_row_blocks`, which pairs every column
+that is not strictly increasing over its distinct bits (:func:`_distinct`),
+so each value is formatted once per table.  The ``count --part both`` table,
+``4^p`` rows, formats its per-part columns as pairs once per table and is
+limited to :data:`MAX_JOINT_ROWS` rows (``p <= 10``), as are sampled trials.
 
 :func:`main` parses with one parser per process, built on its first call, so
 in-process callers pay for the argparse tree once.
@@ -23,8 +23,10 @@ in-process callers pay for the argparse tree once.
 Exit codes: 0 success, 1 invalid input or I/O failure, 2 verification or
 threshold failure.  Floating values are printed with 17 significant digits
 and identical inputs produce identical output bytes.  Sampled runs without
-``--seed`` generate one, report it on stderr, and embed it in every row;
-they place all trials with one ``grid_indices`` search per part.
+``--seed`` generate one, report it on stderr, and embed it in every row.  All
+trials draw from one generator seeded with it, the stream that
+:func:`~qwcount.phase_estimation.sample` draws, placed by one ``grid_indices``
+search per part.
 """
 
 from __future__ import annotations
@@ -193,21 +195,13 @@ def _format_numbers(values: np.ndarray) -> list[str]:
 def _cells(column, as_json: bool, formatted: dict):
     """A column's cells as a list of strings, or one string for a scalar column.
 
-    A strictly increasing numeric array holds distinct values and is formatted
-    as it is; any other is deduplicated on its bits (``0.0`` and ``-0.0`` stay
-    apart), so each distinct value is formatted once.  A ``(values, codes)``
-    pair gathers from ``formatted[id(values)]``, ``(values, strings)``.
+    A numeric array is formatted as it is.  A ``(values, codes)`` pair
+    gathers from ``formatted[id(values)]``, ``(values, strings)``.
     """
     if isinstance(column, tuple):
         return formatted[id(column[0])][1][column[1]].tolist()
     if isinstance(column, np.ndarray) and column.dtype.kind in "fiu":
-        if (column[1:] > column[:-1]).all():
-            return _format_numbers(column)
-        bits, inverse = np.unique(column.view(f"u{column.itemsize}"), return_inverse=True)
-        if bits.size == column.size:
-            return _format_numbers(column)
-        distinct = np.array(_format_numbers(bits.view(column.dtype)), dtype=object)
-        return distinct[inverse].tolist()
+        return _format_numbers(column)
     if isinstance(column, np.ndarray):
         column = column.tolist()
     if isinstance(column, list):
@@ -262,8 +256,8 @@ def emit(blocks, fieldnames, output_format: str, destination: str | None) -> Non
     Each block maps every field name to a column: a numpy array, a list, one
     scalar repeated on every row, or a ``(values, codes)`` pair of numeric
     arrays whose row ``r`` shows ``values[codes[r]]``, all of one length within
-    a block.  A numeric array has each distinct value formatted once, all with
-    one ``%``.  A pair's ``values`` are formatted once while consecutive blocks
+    a block.  A numeric array has each value formatted, all with one ``%``.
+    A pair's ``values`` are formatted once while consecutive blocks
     pass the same (unchanged) array object, and dropped after a block that
     does not.  Blocks may come from a generator, so a large table is never
     held whole.
@@ -280,11 +274,6 @@ def _generate_seed() -> int:
     seed = int(np.random.SeedSequence().generate_state(1)[0])
     print(f"generated seed: {seed}", file=sys.stderr)
     return seed
-
-
-def _trial_seed(base: int, trial: int) -> int:
-    # Stateless per-trial derivation so any single trial can be reproduced.
-    return int(np.random.SeedSequence(entropy=base, spawn_key=(trial,)).generate_state(1)[0])
 
 
 def _cmd_spectrum(args):
@@ -308,17 +297,23 @@ def _cmd_distribution(args):
     return _row_blocks(columns, dist.n_points), DISTRIBUTION_FIELDS, 0
 
 
+def _distinct(values: np.ndarray):
+    """The distinct bit patterns of ``values`` (``0.0`` and ``-0.0`` stay
+    apart), read as its dtype, and the code of every entry among them."""
+    bits, codes = np.unique(values.view(f"u{values.itemsize}"), return_inverse=True)
+    return bits.view(values.dtype), codes
+
+
 def _row_blocks(columns: dict, size: int):
     """A table of ``size`` rows in blocks of at most ``_BLOCK_ROWS`` rows.
 
     Scalars repeat on every row and strictly increasing arrays are sliced.
-    Any other array becomes a ``(values, codes)`` pair over its distinct
-    bits, so each of its values is formatted once per table, not per block.
+    Any other array becomes its :func:`_distinct` pair, so each of its
+    values is formatted once per table, not once per row or per block.
     """
     for name, c in columns.items():
         if isinstance(c, np.ndarray) and not (c[1:] > c[:-1]).all():
-            bits, codes = np.unique(c.view(f"u{c.itemsize}"), return_inverse=True)
-            columns[name] = (bits.view(c.dtype), codes)
+            columns[name] = _distinct(c)
     for start in range(0, size, _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)
         yield {name: (c[0], c[1][rows]) if isinstance(c, tuple) else
@@ -350,10 +345,7 @@ def _joint_blocks(joint):
     part0, part1 = joint.part0, joint.part1
     size = part1.mass.size
     index = np.arange(size)
-    # Each part array's distinct bit patterns, as floats, and every entry's class.
-    k0, k1, m0, m1 = [(bits.view(np.float64), classes) for bits, classes in (
-        np.unique(values.view(np.uint64), return_inverse=True)
-        for values in (part0.k_est, part1.k_est, part0.mass, part1.mass))]
+    k0, k1, m0, m1 = map(_distinct, (part0.k_est, part1.k_est, part0.mass, part1.mass))
     step = max(1, _BLOCK_ROWS // size)
     for start in range(0, size, step):
         rows = slice(start, min(start + step, size))
@@ -364,7 +356,7 @@ def _joint_blocks(joint):
                  "k_est_1": (k1[0], np.tile(k1[1], rows.stop - start))}
         for name, op, (u0, c0), (u1, c1) in (("k_est", np.add, k0, k1),
                                              ("mass", np.multiply, m0, m1)):
-            present, inverse = np.unique(c0[rows], return_inverse=True)
+            present, inverse = _distinct(c0[rows])
             block[name] = (op.outer(u0[present], u1).ravel(),
                            (inverse[:, None] * u1.size + c1).ravel())
         yield block
@@ -374,7 +366,7 @@ def _cmd_count(args):
     inst = _instance_from_args(args)
     if args.trials < 1:
         raise UsageError(f"--trials must be at least 1, got {args.trials}")
-    if args.trials > MAX_JOINT_ROWS:  # one generator per trial
+    if args.trials > MAX_JOINT_ROWS:
         raise ResourceLimitError(f"--trials limited to {MAX_JOINT_ROWS}, got {args.trials}")
     if args.seed is not None and args.seed < 0:
         raise UsageError(f"--seed must be nonnegative, got {args.seed}")
@@ -389,12 +381,11 @@ def _cmd_count(args):
             return _joint_blocks(dist), TOTAL_COUNT_FIELDS, 0
         return _part_blocks(dist), PART_COUNT_FIELDS, 0
 
-    # One pushforward per run.  Trial t takes one uniform per part (part 0
-    # first) from its own derived generator; this is the package's only sampler.
+    # One pushforward per run.  Trial t takes uniform t·parts + j of one
+    # stream for part j, the stream ``phase_estimation.sample`` draws.
     parts = (dist,) if part is not None else (dist.part0, dist.part1)
-    uniforms = np.array([np.random.default_rng(_trial_seed(seed, trial)).random(len(parts))
-                         for trial in range(args.trials)])
-    picks = [grid_indices(d.cumulative, uniforms[:, j]) for j, d in enumerate(parts)]
+    uniforms = np.random.default_rng(seed).random((args.trials, len(parts)))
+    picks = [grid_indices(np.cumsum(d.mass), uniforms[:, j]) for j, d in enumerate(parts)]
     k_parts = [d.k_est[pick] for d, pick in zip(parts, picks)]
     k_est = k_parts[0] if part is not None else k_parts[0] + k_parts[1]
     columns = {"trial": np.arange(args.trials), "p": dist.p, "k_est": k_est,
@@ -402,9 +393,9 @@ def _cmd_count(args):
                "bound": dist.bound, "oracle_queries": dist.oracle_queries, "seed": seed}
     if part is None:
         columns.update(k_est_0=k_parts[0], k_est_1=k_parts[1])
-        return [columns], SAMPLED_TOTAL_FIELDS, 0
+        return _row_blocks(columns, args.trials), SAMPLED_TOTAL_FIELDS, 0
     columns.update(part=part, theta_est=dist.theta_est[picks[0]])
-    return [columns], SAMPLED_PART_FIELDS, 0
+    return _row_blocks(columns, args.trials), SAMPLED_PART_FIELDS, 0
 
 
 def _cmd_sweep(args):

@@ -10,7 +10,7 @@ pushes the whole grid distribution through that pipeline, so the error bounds
 and success probabilities become checkable statements about exact
 probability masses instead of statistical claims.  There is no single-shot
 mode: the CLI's ``count`` command draws runs by placing one uniform per part
-per trial on a distribution's ``cumulative`` mass.
+per trial on the cumulative sum of a distribution's ``mass``.
 
 A pushforward is held as read-only float64 arrays indexed by grid index
 (``omega``, ``theta_est``, ``k_est``, ``mass``).
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -130,11 +129,6 @@ class CountDistribution:
         """Exact probability that the estimate lies within ``radius`` of ``k_true``."""
         return float(self.mass[np.abs(self.k_est - float(self.k_true)) <= radius].sum())
 
-    @cached_property
-    def cumulative(self) -> np.ndarray:
-        """Cumulative mass by grid index, computed once per distribution."""
-        return np.cumsum(self.mass)
-
 
 def _edge(k0: np.ndarray, k1_sorted: np.ndarray, guess: np.ndarray, holds) -> np.ndarray:
     """Per part-0 index, the first sorted position ``j`` where ``holds(k0 + k1_sorted[j])`` fails.
@@ -220,7 +214,7 @@ def partial_count(p: int, inst: BipartiteInstance, part: int) -> CountDistributi
         raise ValueError(f"part must be 0 or 1, got {part}")
     n_part, k_part = (inst.n0, inst.k0) if part == 0 else (inst.n1, inst.k1)
     return _count_distribution(
-        eigenphase_table(WalkAngles.from_thetas(part_angle(k_part, n_part), 0.0)),
+        eigenphase_table(WalkAngles(part_angle(k_part, n_part), 0.0)),
         p, n_part, k_part, part,
         lambda m, size: _mirror(_mirror(m, size), size // 2),
         lambda theta: n_part * np.sin(theta) ** 2)

@@ -367,13 +367,16 @@ def good_estimate_mass(theta: float, p: int) -> float:
     """Probability that estimation of ``theta`` returns one of its two grid neighbors.
 
     At least :data:`GOOD_ESTIMATE_PROBABILITY` for every ``theta``; equals 1
-    when ``theta`` lies on the grid.  ``ValueError`` unless ``theta`` is finite
-    and ``p`` is 1 to 52, so that every grid position is below 2^52.
+    when ``theta`` lies on the grid.  The kernel is evaluated at the exact
+    fraction of a cell ``f = P·t − floor(P·t)``, at ``x = f`` and ``f − 1``,
+    so no cell fraction is lost at fine grids.  ``ValueError`` unless
+    ``theta`` is finite and ``p`` is 1 to 52, so that every grid position is
+    below 2^52.
     """
     if not 1 <= p <= 52:
         raise ValueError(f"register size must be 1 to 52 qubits, got {p}")
     position = _grid_position(float(theta) % TWO_PI / TWO_PI, p)
-    n = 2**p
-    # The grid phases that round theta down and up, one index when on-grid.
-    neighbors = np.unique([math.floor(position) % n, math.ceil(position) % n])
-    return float(fourier_kernel(theta, TWO_PI * neighbors / n, n).sum())
+    fraction = position - math.floor(position)
+    if fraction == 0.0:
+        return 1.0
+    return float(_kernel(_sin_sq_pi(fraction), np.array([fraction, fraction - 1.0]), 2**p).sum())

@@ -57,7 +57,8 @@ EIGENPHASE_LABELS = (
 
 @dataclass(frozen=True)
 class WalkAngles:
-    """Part angles of the search operator plus their half-sum and half-difference.
+    """Part angles of the search operator; their half-sum and half-difference
+    are derived.
 
     ``mu = (theta0 + theta1)/2`` lies in [0, π] and
     ``sigma = (theta0 - theta1)/2`` in [-π/2, π/2].
@@ -65,17 +66,19 @@ class WalkAngles:
 
     theta0: float
     theta1: float
-    mu: float
-    sigma: float
 
     def __post_init__(self):
         for name, value in (("theta0", self.theta0), ("theta1", self.theta1)):
             if not 0.0 <= value <= math.pi:
                 raise ValueError(f"{name} must lie in [0, pi], got {value}")
 
-    @classmethod
-    def from_thetas(cls, theta0: float, theta1: float) -> "WalkAngles":
-        return cls(theta0, theta1, (theta0 + theta1) / 2.0, (theta0 - theta1) / 2.0)
+    @property
+    def mu(self) -> float:
+        return (self.theta0 + self.theta1) / 2.0
+
+    @property
+    def sigma(self) -> float:
+        return (self.theta0 - self.theta1) / 2.0
 
 
 def part_angle(k_part: int, n_part: int) -> float:
@@ -85,7 +88,7 @@ def part_angle(k_part: int, n_part: int) -> float:
 
 def angles_from_instance(inst: BipartiteInstance) -> WalkAngles:
     """Angles encoding the marked counts, one :func:`part_angle` per part."""
-    return WalkAngles.from_thetas(part_angle(inst.k0, inst.n0), part_angle(inst.k1, inst.n1))
+    return WalkAngles(part_angle(inst.k0, inst.n0), part_angle(inst.k1, inst.n1))
 
 
 @dataclass(frozen=True, eq=False)

@@ -131,7 +131,7 @@ def test_criterion_02_invariant_subspace():
 
 def _random_angle_grid(count, seed):
     rng = np.random.default_rng(seed)
-    return [WalkAngles.from_thetas(float(t0), float(t1))
+    return [WalkAngles(float(t0), float(t1))
             for t0, t1 in rng.uniform(0.0, math.pi, (count, 2))]
 
 

@@ -275,6 +275,21 @@ def test_verify_suite_rejects_oversize_instance():
         verify_suite(BipartiteInstance(9, 9), 4)
 
 
+@pytest.mark.parametrize("p", [13, 20, 10**12])
+def test_verify_suite_refuses_a_circuit_register_before_the_analytic_engine(monkeypatch, p):
+    def no_analytic(*_):
+        raise AssertionError("the analytic engine ran")
+
+    monkeypatch.setattr(qwcount.analysis, "exact_distribution", no_analytic)
+    with pytest.raises(ResourceLimitError, match=f"circuit simulation limited to p <= 12, got {p}"):
+        verify_suite(BipartiteInstance.from_counts(3, 4, 1, 2), p)
+
+
+def test_verify_suite_rejects_an_empty_register(fig2):
+    with pytest.raises(ValueError, match="register size must be at least 1 qubit, got 0"):
+        verify_suite(fig2, 0)
+
+
 def test_verify_suite_rejects_oracle_of_wrong_shape(fig2):
     oracle = np.eye(fig2.dim + 1)
     with pytest.raises(ValueError, match=r"oracle shape \(25, 25\) does not match arc dimension 24"):

@@ -25,13 +25,12 @@ from qwcount.cli import (
     TOTAL_COUNT_FIELDS,
     VERIFY_FIELDS,
     _instance_from_args,
-    _trial_seed,
     build_parser,
     emit,
     main,
 )
 from qwcount.counting import full_count, partial_count
-from qwcount.phase_estimation import circuit_distribution, exact_distribution
+from qwcount.phase_estimation import PhaseDistribution, circuit_distribution, exact_distribution, sample
 from qwcount.reduced import EIGENPHASE_LABELS, angles_from_instance, eigenphase_table
 from qwcount.walk import BipartiteInstance, build_evolution, build_oracle, uniform_state
 
@@ -479,8 +478,8 @@ def ref_rows(args):
         return ref_part_rows(dist), PART_COUNT_FIELDS
     parts = (dist,) if part is not None else (dist.part0, dist.part1)
     rows = []
+    rng = np.random.default_rng(args.seed)
     for trial in range(args.trials):
-        rng = np.random.default_rng(_trial_seed(args.seed, trial))
         picks = [draw_index(d.mass, rng) for d in parts]
         k_parts = [float(d.k_est[pick]) for d, pick in zip(parts, picks)]
         k_est = k_parts[0] if part is not None else k_parts[0] + k_parts[1]
@@ -806,6 +805,21 @@ def test_sampled_trials_match_per_trial_draws(capsys, part, fmt):
     assert capsys.readouterr().out == ref_render(rows, fieldnames, fmt)
 
 
+@pytest.mark.parametrize("part", [0, 1])
+def test_sampled_count_draws_the_stream_of_sample(capsys, part):
+    # One sampler: a one-part run's k_est column is k_est at the grid indices
+    # that phase_estimation.sample draws from the same seed.
+    argv = ["count", "--n0", "37", "--n1", "50", "--k0", "13", "--k1", "29", "--p", "9",
+            "--part", str(part), "--mode", "sampled", "--trials", "3000", "--seed", "11"]
+    assert main(argv) == 0
+    column = [float(row["k_est"]) for row in csv.DictReader(io.StringIO(capsys.readouterr().out))]
+    dist = partial_count(9, BipartiteInstance.from_counts(37, 50, 13, 29), part)
+    phases = PhaseDistribution(dist.p, dist.mass)
+    indices = np.searchsorted(phases.omegas(), sample(phases, 11, 3000))
+    assert len(set(column)) > 20
+    assert column == dist.k_est[indices].tolist()
+
+
 @pytest.mark.parametrize("part", ["0", "both"])
 def test_sampled_run_accumulates_each_part_once(monkeypatch, part):
     # The command alone, not the writer: np.unique calls np.cumsum too.
@@ -814,10 +828,11 @@ def test_sampled_run_accumulates_each_part_once(monkeypatch, part):
     calls = []
     cumsum = np.cumsum
     monkeypatch.setattr(np, "cumsum", lambda *args, **kwargs: calls.append(1) or cumsum(*args, **kwargs))
-    [columns], _, status = cli._cmd_count(args)
+    blocks, _, status = cli._cmd_count(args)
     assert status == 0
-    assert columns["k_est"].size == 200
     assert len(calls) == (2 if part == "both" else 1)
+    _, codes = next(blocks)["k_est"]
+    assert codes.size == 200
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -838,7 +853,7 @@ def test_cli_sampled_trials_guard_exits_1_before_drawing(capsys, monkeypatch, tr
     def no_draws(*_):
         raise AssertionError("the draw loop ran")
 
-    monkeypatch.setattr(cli, "_trial_seed", no_draws)
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
     argv = ["count", *FIG2_ARGS, "--p", "4", "--part", part, "--mode", "sampled",
             "--trials", str(trials), "--seed", "1"]
     tracemalloc.start()
@@ -939,6 +954,8 @@ UNORDERED_COLUMNS = [
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_strictly_increasing_columns_skip_the_sort(capsys, monkeypatch, fmt):
+    # _row_blocks slices an increasing column and pairs any other over its
+    # distinct bits; the writer formats a plain array as it is, unsorted.
     as_json = fmt == "json"
     sorted_sizes = []
     unique = np.unique
@@ -948,9 +965,17 @@ def test_strictly_increasing_columns_skip_the_sort(capsys, monkeypatch, fmt):
     for increasing, columns in ((True, INCREASING_COLUMNS), (False, UNORDERED_COLUMNS)):
         for column in columns:
             sorted_sizes.clear()
-            cells = cli._cells(column, as_json, {})
-            assert cells == [cli._format_scalar(value, as_json) for value in column]
-            assert sorted_sizes == ([] if increasing else [column.size])
-            blocks = [{"value": column, "label": "x"}]
-            emit(blocks, fieldnames, fmt, None)
-            assert capsys.readouterr().out == ref_render(_rows_of(blocks, fieldnames), fieldnames, fmt)
+            assert cli._cells(column, as_json, {}) == [cli._format_scalar(v, as_json) for v in column]
+            assert sorted_sizes == []
+            [block] = cli._row_blocks({"value": column, "label": "x"}, column.size)
+            if increasing:
+                assert sorted_sizes == []
+                assert block["value"].tobytes() == column.tobytes()
+            else:
+                assert sorted_sizes == [column.size]
+                values, codes = block["value"]
+                assert values[codes].tobytes() == column.tobytes()
+                assert unique(values.view(f"u{values.itemsize}")).size == values.size
+            emit([block], fieldnames, fmt, None)
+            reference = [{"value": column, "label": "x"}]
+            assert capsys.readouterr().out == ref_render(_rows_of(reference, fieldnames), fieldnames, fmt)

@@ -59,11 +59,11 @@ GOLDEN = {
         "e4c7874ee736967570d251bd84e39e6e876aa95173e5e01d97f453a0f47ce3ed"),
     "count_sampled_both": (
         ["count", *FIG2, "--p", "6", "--part", "both", *SAMPLED],
-        "9c71201d2883739519cfa435438671b6cced3ab527a744ed34995f4805890826"),
+        "19b2b55708c4a312c4a71f194dea757f68ba4f863c7d6c299d18e0c0f0b76059"),
     "count_sampled_both_json": (
         ["count", "--n0", "9", "--n1", "5", "--k0", "4", "--k1", "1", "--p", "8", *SAMPLED,
          "--format", "json"],
-        "6569319b8895a5babaf405d209d1db7f8a3a3fc3654248122272fbea5ce844a7"),
+        "405fe2beb60a51f6096da2c52209582b2543ff88bb1236b360f1a32e27055f2b"),
     "verify": (
         ["verify", *FIG2, "--p", "5"],
         "21b1698d78bf532608190a2094a91bf9a390d08c5f2d6d1e67c87f5de613f578"),

@@ -40,6 +40,7 @@ UNREFERENCED = {
     ("reduced", "reduce_operator"): "acceptance criterion 02",
     ("linalg", "eigen_residual"): "acceptance criterion 03",
     ("phase_estimation", "good_estimate_mass"): "acceptance criterion 06",
+    ("phase_estimation", "fourier_kernel"): "the benchmark's tracer test and acceptance criterion 05",
     ("phase_estimation", "sample"): "acceptance criterion 11",
 }
 

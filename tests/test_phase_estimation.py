@@ -121,6 +121,16 @@ def test_good_estimate_mass_midpoint():
     assert good_estimate_mass(theta, 3) == pytest.approx(2 * MIDPOINT_KERNEL_P8, abs=1e-12)
 
 
+def test_good_estimate_mass_bound_holds_at_every_register():
+    # Evaluated at the exact fraction of a cell, the bound holds up to p = 52,
+    # where a kernel formed from theta - omega in radians fell to 0.41.
+    thetas = np.linspace(0.0, TWO_PI, 1000, endpoint=False)
+    for p in range(1, 53):
+        masses = [good_estimate_mass(float(t), p) for t in thetas]
+        assert min(masses) >= GOOD_ESTIMATE_PROBABILITY - 1e-15, p
+        assert good_estimate_mass(TWO_PI * 3 / 2**p, p) == 1.0
+
+
 def test_a_grid_position_past_float_resolution_is_a_value_error():
     # From 2^52 on a float64 grid position P·t is a whole number.
     beyond = "is not a finite float below 2\\^52"
@@ -206,8 +216,8 @@ def test_orbit_tables_keep_their_flat_phases_and_weights():
     fractions = [*FRACTIONS_N8, Fraction(13, 64), Fraction(29, 64)]
     for f0 in fractions:
         for f1 in fractions:
-            angles = WalkAngles.from_thetas(part_angle(f0.numerator, f0.denominator),
-                                            part_angle(f1.numerator, f1.denominator))
+            angles = WalkAngles(part_angle(f0.numerator, f0.denominator),
+                                part_angle(f1.numerator, f1.denominator))
             mu, sigma = angles.mu, angles.sigma
             w_mu, w_pi_mu = math.cos(sigma / 2.0) ** 2 / 4.0, math.sin(sigma / 2.0) ** 2 / 4.0
             w_sigma, w_pi_sigma = math.cos(mu / 2.0) ** 2 / 4.0, math.sin(mu / 2.0) ** 2 / 4.0
@@ -234,8 +244,8 @@ def _walk_mixtures():
     """(name, mixture, orbit count) for the full case, the part case and Grover search."""
     for f0 in FRACTIONS_N8:
         for f1 in FRACTIONS_N8:
-            angles = WalkAngles.from_thetas(part_angle(f0.numerator, f0.denominator),
-                                            part_angle(f1.numerator, f1.denominator))
+            angles = WalkAngles(part_angle(f0.numerator, f0.denominator),
+                                part_angle(f1.numerator, f1.denominator))
             # theta1 = 0 is the part case: mu = sigma, one orbit.
             yield f"walk {f0} {f1}", eigenphase_table(angles), 1 if f1 == 0 else 2
     for f in FRACTIONS_N8:
@@ -358,7 +368,7 @@ def _mp_masses(mp, counts, p, indices):
 def test_heavy_masses_match_exact_eigenphases(counts):
     mp = pytest.importorskip("mpmath")
     (n0, k0), (n1, k1) = counts
-    angles = WalkAngles.from_thetas(part_angle(k0, n0), part_angle(k1, n1))
+    angles = WalkAngles(part_angle(k0, n0), part_angle(k1, n1))
     for p, bound in BASELINE_HEAVY_MASS_ERROR.items():
         mass = exact_distribution(eigenphase_table(angles), p).mass
         heavy = np.argsort(mass)[-40:]

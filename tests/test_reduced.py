@@ -41,7 +41,7 @@ FIG2_SIGMA = (FIG2_THETA0 - FIG2_THETA1) / 2.0
 
 def random_angles(count, seed):
     rng = np.random.default_rng(seed)
-    return [WalkAngles.from_thetas(float(t0), float(t1))
+    return [WalkAngles(float(t0), float(t1))
             for t0, t1 in rng.uniform(0.0, math.pi, (count, 2))]
 
 
@@ -156,7 +156,7 @@ def test_uniform_state_expansion_in_basis(inst):
 
 
 def test_reduced_evolution_zero_angles():
-    reduced = build_reduced_evolution(WalkAngles.from_thetas(0.0, 0.0))
+    reduced = build_reduced_evolution(WalkAngles(0.0, 0.0))
     block = np.array([[1, 0, 0, 0], [0, 0, -1, 0], [0, -1, 0, 0], [0, 0, 0, 1]], dtype=complex)
     assert np.array_equal(reduced[:4, 4:], block)
     assert np.array_equal(reduced[4:, :4], block)
