@@ -26,11 +26,11 @@ from .phase_estimation import (
     total_variation,
 )
 from .reduced import (
+    _invariant_basis,
     _reduce_operator,
     angles_from_instance,
     build_reduced_evolution,
     eigenphase_table,
-    invariant_basis,
     spectral_decomposition,
 )
 from .errors import ResourceLimitError
@@ -377,7 +377,7 @@ def verify_suite(inst: BipartiteInstance, p: int, *,
     part_signs = {j: _oracle_signs(marks, j) for j in (0, 1)}
     ancilla = {j: _ancilla_defects(_ancilla_blocks(marks, j), part_signs[j]) for j in (0, 1)}
     coin, shift_map = build_coin(inst), _shift_map(inst)
-    signs, evolution = _step_from_coin(inst, coin, oracle)
+    signs, evolution = _step_from_coin(inst, coin, oracle, marks)
     shift_unitarity, shift_involution = _index_map_defects(shift_map)
     oracle_defect = _sign_defect(signs)
 
@@ -398,7 +398,7 @@ def verify_suite(inst: BipartiteInstance, p: int, *,
     for j in (0, 1):
         check_max(f"ancilla_restriction_{j}", ancilla[j][1], _IDENTITY_TOL)
 
-    basis = invariant_basis(inst)
+    basis = _invariant_basis(marks)
     angles = angles_from_instance(inst)
     projected, leakage = _reduce_operator(evolution, basis.matrix())
     check_max("invariant_leakage", leakage, _STRUCTURAL_TOL)

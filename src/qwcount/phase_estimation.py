@@ -25,9 +25,12 @@ Two independent engines compute the same distribution over the phase grid
   a per-bit gather and scatter builds, for ``(P-1)·d²`` row work and
   ``p-1`` squarings instead of ``p·(P/2)·d²`` and ``p``.  A real walk from
   a real start keeps a real state throughout: the register transform is
-  then a real-input FFT of outcomes ``0..P/2``, with no complex copy of the
-  state, and the rest follow exactly from the Hermitian mirror
-  ``mass[P − m] = mass[m]``.
+  then a real-input FFT of outcomes ``0..P/2``, and the rest follow exactly
+  from the Hermitian mirror ``mass[P − m] = mass[m]``.  Either transform
+  takes a block of rows of the state at a time, so the engine holds the
+  joint state plus one block of transformed rows; both branches add the
+  blocks' squares onto one running sum in row order, so their masses do
+  not depend on the block size.
 
 Sampling is a pure function of (distribution, seed, n) backed by NumPy's
 PCG64 generator; there is no hidden global RNG state.  Every sampler of the
@@ -79,6 +82,9 @@ MAX_ANALYTIC_QUBITS = 20
 
 # Largest unitarity defect and state-norm error the circuit engine accepts.
 _UNITARITY_TOL = 1e-8
+
+# Rows of the circuit's joint state that one register transform takes at a time.
+_BLOCK_ROWS = 16
 
 _WEIGHT_CLAMP = 1e-14
 _MASS_CLAMP = 1e-14
@@ -280,11 +286,15 @@ def circuit_distribution(u, psi, p: int) -> PhaseDistribution:
     The register Fourier transform follows the state's dtype too.  A complex
     state takes the full FFT and the marginal ``|·|²`` summed over the
     system axis.  A real state takes a real-input FFT, ``P/2 + 1`` outcomes
-    per row with no complex copy of the state; the marginal of outcomes
-    ``0..P/2`` is ``re² + im²`` summed over the system axis and divided by
-    ``P`` (exact, a power of two), and outcomes ``P/2+1..P−1`` copy the
-    Hermitian mirror ``mass[P − m] = mass[m]``, so mirror masses are
-    bit-equal.
+    per row; the marginal of outcomes ``0..P/2`` is ``re² + im²`` summed
+    over the system axis and divided by ``P`` (exact, a power of two), and
+    outcomes ``P/2+1..P−1`` copy the Hermitian mirror
+    ``mass[P − m] = mass[m]``, so mirror masses are bit-equal.  Either
+    transform runs over ``_BLOCK_ROWS`` rows of the state at a time, so
+    besides the joint state the engine holds one block of transformed rows.
+    Both branches add each block's squares onto one running sum in row
+    order, the order of a sum over the whole state, so their masses do not
+    depend on the block size.
 
     Input is validated once, here; the private core ``_circuit_marginal``
     takes the defect of ``u``, so the verify suite, which has just reported
@@ -325,20 +335,41 @@ def _circuit_marginal(um: np.ndarray, vec: np.ndarray, p: int, defect: float) ->
         if e:
             power = power @ power
         np.matmul(power, state[:, :half], out=state[:, half:2 * half])
-    # Inverse Fourier transform on the register index.
-    if np.iscomplexobj(state):
-        state = np.fft.fft(state, axis=1)
-        state /= math.sqrt(n)
-        return PhaseDistribution(p, (np.abs(state) ** 2).sum(axis=0))
-    # Squaring through a float view works in place on the transform.
-    squares = np.fft.rfft(state, axis=1).view(np.float64)
-    np.square(squares, out=squares)
-    column = squares.sum(axis=0)
+    del power
+    # Inverse Fourier transform on the register index, _BLOCK_ROWS rows at a
+    # time.  Row 0 of ``rows`` is the running sum and rows 1..b take a block's
+    # squares, so one reduction adds them onto it in row order, as a sum over
+    # the whole state would.
+    real = not np.iscomplexobj(state)
+    rows = np.zeros((min(state.shape[0], _BLOCK_ROWS) + 1, n + 2 if real else n))
+    column = rows[0]
+    for start in range(0, state.shape[0], _BLOCK_ROWS):
+        block = state[start:start + _BLOCK_ROWS]
+        _transform_squares(block, rows[1:block.shape[0] + 1])
+        np.add.reduce(rows[:block.shape[0] + 1], axis=0, out=column)
+    if not real:
+        return PhaseDistribution(p, column)
     mid = n // 2
     mass = np.empty(n)
     mass[:mid + 1] = (column[0::2] + column[1::2]) / n
     mass[mid + 1:] = mass[mid - 1:0:-1]
     return PhaseDistribution(p, mass)
+
+
+def _transform_squares(block: np.ndarray, out: np.ndarray) -> None:
+    """Write the squared register transform of ``block``'s rows into ``out``.
+
+    A real block takes the real-input FFT, whose float view holds ``re, im``
+    pairs, squared.  A complex block takes ``|FFT / sqrt(P)|²``.  The
+    transform is a local, so it is freed before the next block's is formed.
+    """
+    if np.iscomplexobj(block):
+        spectrum = np.fft.fft(block, axis=1)
+        spectrum /= math.sqrt(block.shape[1])
+        np.abs(spectrum, out=out)
+        np.square(out, out=out)
+    else:
+        np.square(np.fft.rfft(block, axis=1).view(np.float64), out=out)
 
 
 def grid_indices(cumulative: np.ndarray, uniforms):

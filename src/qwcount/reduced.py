@@ -111,9 +111,16 @@ def invariant_basis(inst: BipartiteInstance) -> InvariantBasis:
 
     Each arc's class index is ``4·direction + 2·(tail unmarked) + (head
     unmarked)``, the :data:`BASIS_LABELS` order; a class vector is its
-    indicator scaled by ``1/sqrt(class size)``.
+    indicator scaled by ``1/sqrt(class size)``.  The private core
+    ``_invariant_basis`` takes the arc marks, so the verify suite, which has
+    formed them for its oracles, forms them once.
     """
-    direction, tail, head = _arc_marks(inst)
+    return _invariant_basis(_arc_marks(inst))
+
+
+def _invariant_basis(marks: tuple[np.ndarray, np.ndarray, np.ndarray]) -> InvariantBasis:
+    """:func:`invariant_basis` from the instance's ``_arc_marks``."""
+    direction, tail, head = marks
     classes = 4 * direction + 2 * ~tail + ~head
     vectors = []
     for index, size in enumerate(np.bincount(classes, minlength=8)):

@@ -198,9 +198,15 @@ def _override_signs(inst: BipartiteInstance, oracle) -> np.ndarray:
     return signs
 
 
-def _step_from_coin(inst: BipartiteInstance, coin: np.ndarray, oracle) -> tuple[np.ndarray, np.ndarray]:
-    """The oracle's signs, and :func:`build_evolution`'s step formed from ``coin``."""
-    signs = _oracle_signs(_arc_marks(inst)) if oracle is None else _override_signs(inst, oracle)
+def _step_from_coin(inst: BipartiteInstance, coin: np.ndarray, oracle,
+                    marks=None) -> tuple[np.ndarray, np.ndarray]:
+    """The oracle's signs, and :func:`build_evolution`'s step formed from ``coin``.
+    The default oracle's signs are read from ``marks``, the instance's
+    :func:`_arc_marks`, which are formed here if None."""
+    if oracle is not None:
+        signs = _override_signs(inst, oracle)
+    else:
+        signs = _oracle_signs(_arc_marks(inst) if marks is None else marks)
     return signs, coin[_shift_map(inst)] * signs + 0.0
 
 

@@ -19,6 +19,7 @@ ALLOWED = {
     ("analysis", "linalg", "_gram_defect"),
     ("analysis", "linalg", "_identity_distance"),
     ("analysis", "phase_estimation", "_circuit_marginal"),
+    ("analysis", "reduced", "_invariant_basis"),
     ("analysis", "reduced", "_reduce_operator"),
     ("analysis", "walk", "_ancilla_blocks"),
     ("analysis", "walk", "_arc_marks"),
@@ -38,6 +39,7 @@ UNREFERENCED = {
     ("counting", "adjusted_partial_count_error_bound"): "acceptance criterion 07",
     ("counting", "adjusted_full_count_error_bound"): "acceptance criterion 08",
     ("reduced", "reduce_operator"): "acceptance criterion 02",
+    ("reduced", "invariant_basis"): "acceptance criterion 02",
     ("linalg", "eigen_residual"): "acceptance criterion 03",
     ("phase_estimation", "good_estimate_mass"): "acceptance criterion 06",
     ("phase_estimation", "fourier_kernel"): "the benchmark's tracer test and acceptance criterion 05",

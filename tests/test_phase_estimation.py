@@ -496,6 +496,72 @@ def test_circuit_matches_per_bit_reference_at_largest_register():
                            MAX_CIRCUIT_QUBITS)
 
 
+def one_shot_circuit_masses(u, psi, p):
+    """Reference: the prefix doubling, then one register transform over the whole state."""
+    n = 2**p
+    state = np.empty((psi.shape[0], n), dtype=np.result_type(u, psi))
+    state[:, 0] = psi / math.sqrt(n)
+    power = u
+    for e in range(p):
+        if e:
+            power = power @ power
+        np.matmul(power, state[:, :2**e], out=state[:, 2**e:2**(e + 1)])
+    if np.iscomplexobj(state):
+        state = np.fft.fft(state, axis=1)
+        state /= math.sqrt(n)
+        return (np.abs(state) ** 2).sum(axis=0)
+    squares = np.fft.rfft(state, axis=1).view(np.float64)
+    np.square(squares, out=squares)
+    column = squares.sum(axis=0)
+    mass = np.empty(n)
+    mass[:n // 2 + 1] = (column[0::2] + column[1::2]) / n
+    mass[n // 2 + 1:] = mass[n // 2 - 1:0:-1]
+    return mass
+
+
+BLOCK = phase_estimation._BLOCK_ROWS
+
+
+@pytest.mark.parametrize("d", [1, BLOCK - 1, BLOCK, BLOCK + 1, 84, 128])
+@pytest.mark.parametrize("p", [1, 2, 11])
+def test_blocked_register_transform_is_bit_identical_to_one_shot(d, p):
+    # Blocks add their squares onto the running sum in row order, so the
+    # masses do not depend on the block size, on either branch.
+    rng = np.random.default_rng(900 + d)
+    orthogonal, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    psi = rng.normal(size=d)
+    cases = [(orthogonal, psi / np.linalg.norm(psi)), random_unitary_and_state(rng, d)]
+    for u, start in cases:
+        masses = circuit_distribution(u, start, p).mass
+        assert np.array_equal(masses, one_shot_circuit_masses(u, start, p))
+
+
+def traced_peak(call):
+    call()  # warm-up, so one-time allocations are not counted
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_circuit_on_largest_walk_holds_its_state_and_a_bounded_block():
+    # The 128 x 4096 float64 state is 4 MiB; the one-shot real-input
+    # transform beside it peaked at 8.22 MiB.
+    evolution, start = build_evolution(K88, build_oracle(K88)), uniform_state(K88)
+    peak = traced_peak(lambda: circuit_distribution(evolution, start, MAX_CIRCUIT_QUBITS))
+    assert peak < (4 + 2) * 2**20
+
+
+def test_complex_circuit_holds_its_state_and_a_bounded_block():
+    # The 128 x 2048 complex128 state is 4 MiB; the one-shot FFT and its
+    # |·|² beside it peaked at about twice that.
+    u, psi = random_unitary_and_state(np.random.default_rng(128), 128)
+    peak = traced_peak(lambda: circuit_distribution(u, psi, 11))
+    assert peak < 1.3 * 128 * 2**11 * 16
+
+
 def test_circuit_rejects_nonunitary():
     with pytest.raises(ValueError):
         circuit_distribution(np.diag([1.0, 2.0]), np.array([1.0, 0.0]), 3)
