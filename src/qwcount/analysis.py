@@ -40,7 +40,6 @@ from .walk import (
     _ancilla_blocks,
     _arc_marks,
     _oracle_signs,
-    _shift_map,
     _step_from_coin,
     build_coin,
     uniform_state,
@@ -376,9 +375,9 @@ def verify_suite(inst: BipartiteInstance, p: int, *,
     marks = _arc_marks(inst)
     part_signs = {j: _oracle_signs(marks, j) for j in (0, 1)}
     ancilla = {j: _ancilla_defects(_ancilla_blocks(marks, j), part_signs[j]) for j in (0, 1)}
-    coin, shift_map = build_coin(inst), _shift_map(inst)
+    coin = build_coin(inst)
     signs, evolution = _step_from_coin(inst, coin, oracle, marks)
-    shift_unitarity, shift_involution = _index_map_defects(shift_map)
+    shift_unitarity, shift_involution = _index_map_defects(marks[0])
     oracle_defect = _sign_defect(signs)
 
     check_max("unitarity_shift", shift_unitarity, _STRUCTURAL_TOL)

@@ -7,15 +7,15 @@ Commands: ``spectrum`` (angles and eigenphase weights), ``distribution``
 suite on one instance).
 
 Each command returns its table as blocks of columns: a numpy array, a list,
-one scalar repeated on every row, or a ``(values, codes)`` pair.  :func:`emit`,
-the one writer for every command, formats a numeric column, or a pair's
-values, with one ``%`` operation and writes each block before it takes the
-next.  The tables with a row per grid index or per trial come in blocks of at
-most ``_BLOCK_ROWS`` rows from :func:`_row_blocks`, which pairs every column
-that is not strictly increasing over its distinct bits (:func:`_distinct`),
-so each value is formatted once per table.  The ``count --part both`` table,
-``4^p`` rows, formats its per-part columns as pairs once per table and is
-limited to :data:`MAX_JOINT_ROWS` rows (``p <= 10``), as are sampled trials.
+one scalar repeated on every row, or a ``(text, codes)`` pair.  :func:`emit`,
+the one writer for every command, formats a numeric column with one ``%``
+operation, gathers a pair's cells from its text, and keeps nothing between
+blocks.  The tables with a row per grid index or per trial come in blocks of
+at most ``_BLOCK_ROWS`` rows from :func:`_row_blocks`, which pairs every column
+not strictly increasing over its distinct bits (:func:`_distinct`), formatted
+once per table (:func:`_text`).  The ``count --part both`` table, ``4^p``
+rows, formats its per-part columns as pairs once per table and is limited to
+:data:`MAX_JOINT_ROWS` rows (``p <= 10``), as are sampled trials.
 
 :func:`main` parses with one parser per process, built on its first call, so
 in-process callers pay for the argparse tree once.
@@ -76,13 +76,9 @@ _BLOCK_ROWS = 4096
 _FLOAT_SPEC, _INT_SPEC = "%.17g", "%d"
 
 
-class UsageError(Exception):
-    """Invalid command line or configuration input (exit code 1)."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit with status 2
-        raise UsageError(message)
+        raise ValueError(message)
 
 
 def _add_instance_arguments(parser) -> None:
@@ -95,7 +91,7 @@ def _add_instance_arguments(parser) -> None:
 
 
 def _add_output_arguments(parser) -> None:
-    parser.add_argument("--format", choices=("csv", "json"), default=None,
+    parser.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="output format (default csv)")
     parser.add_argument("--output", default=None, help="output path (default stdout)")
 
@@ -147,7 +143,7 @@ def _parse_vertex_list(text: str, name: str) -> frozenset[int]:
     try:
         return frozenset(int(item) for item in text.split(",") if item.strip())
     except ValueError:
-        raise UsageError(f"--{name} expects comma-separated integers, got {text!r}")
+        raise ValueError(f"--{name} expects comma-separated integers, got {text!r}")
 
 
 def _instance_from_args(args) -> BipartiteInstance:
@@ -156,14 +152,11 @@ def _instance_from_args(args) -> BipartiteInstance:
     listed = {}
     for part, count, text in ((0, args.k0, args.marked0), (1, args.k1, args.marked1)):
         if count is not None and text is not None:
-            raise UsageError(f"--k{part} and --marked{part} are mutually exclusive")
+            raise ValueError(f"--k{part} and --marked{part} are mutually exclusive")
         if text is not None:
             listed[f"marked{part}"] = _parse_vertex_list(text, f"marked{part}")
-    try:
-        inst = BipartiteInstance.from_counts(args.n0, args.n1, args.k0 or 0, args.k1 or 0)
-        return dataclasses.replace(inst, **listed) if listed else inst
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    inst = BipartiteInstance.from_counts(args.n0, args.n1, args.k0 or 0, args.k1 or 0)
+    return dataclasses.replace(inst, **listed) if listed else inst
 
 
 def _format_scalar(value, as_json: bool) -> str:
@@ -192,14 +185,18 @@ def _format_numbers(values: np.ndarray) -> list[str]:
     return ((spec + "\n") * values.size % tuple(values.tolist())).split("\n")[:-1]
 
 
-def _cells(column, as_json: bool, formatted: dict):
+def _text(values: np.ndarray) -> np.ndarray:
+    """The text half of a ``(text, codes)`` pair: ``values`` formatted, as an object array."""
+    return np.array(_format_numbers(values), dtype=object)
+
+
+def _cells(column, as_json: bool):
     """A column's cells as a list of strings, or one string for a scalar column.
 
-    A numeric array is formatted as it is.  A ``(values, codes)`` pair
-    gathers from ``formatted[id(values)]``, ``(values, strings)``.
+    A numeric array is formatted as it is; a ``(text, codes)`` pair gathers ``text[codes]``.
     """
     if isinstance(column, tuple):
-        return formatted[id(column[0])][1][column[1]].tolist()
+        return column[0][column[1]].tolist()
     if isinstance(column, np.ndarray) and column.dtype.kind in "fiu":
         return _format_numbers(column)
     if isinstance(column, np.ndarray):
@@ -217,15 +214,11 @@ def _write_table(handle, blocks, fieldnames, as_json: bool) -> None:
     else:
         handle.write(",".join(_csv_field(name) for name in fieldnames) + "\n")
         end, row_gap, lead = "\n", "", ""
-    formatted = {}  # id(values) -> (values, strings), kept while consecutive blocks pass values
     for block in blocks:
-        pairs = {id(c[0]): c[0] for c in map(block.__getitem__, fieldnames) if isinstance(c, tuple)}
-        formatted = {key: formatted.get(key) or (v, np.array(_format_numbers(v), dtype=object))
-                     for key, v in pairs.items()}
         # A row is constant text around its varying cells: texts[j] precedes columns[j].
         texts, columns = [""], []
         for head, name in zip(heads, fieldnames):
-            cells = _cells(block[name], as_json, formatted)
+            cells = _cells(block[name], as_json)
             texts[-1] += head
             if isinstance(cells, str):
                 texts[-1] += cells
@@ -254,13 +247,10 @@ def emit(blocks, fieldnames, output_format: str, destination: str | None) -> Non
     """Write a table as CSV (fixed header) or JSON (array of objects), block by block.
 
     Each block maps every field name to a column: a numpy array, a list, one
-    scalar repeated on every row, or a ``(values, codes)`` pair of numeric
-    arrays whose row ``r`` shows ``values[codes[r]]``, all of one length within
-    a block.  A numeric array has each value formatted, all with one ``%``.
-    A pair's ``values`` are formatted once while consecutive blocks
-    pass the same (unchanged) array object, and dropped after a block that
-    does not.  Blocks may come from a generator, so a large table is never
-    held whole.
+    scalar repeated on every row, or a ``(text, codes)`` pair (:func:`_text`)
+    whose row ``r`` shows ``text[codes[r]]``, all of one length within a block.
+    A numeric array has each value formatted, all with one ``%``.  Blocks may
+    come from a generator, so a large table is never held whole.
     """
     as_json = output_format == "json"
     if destination in (None, "-"):
@@ -308,12 +298,13 @@ def _row_blocks(columns: dict, size: int):
     """A table of ``size`` rows in blocks of at most ``_BLOCK_ROWS`` rows.
 
     Scalars repeat on every row and strictly increasing arrays are sliced.
-    Any other array becomes its :func:`_distinct` pair, so each of its
-    values is formatted once per table, not once per row or per block.
+    Any other array becomes a pair over its :func:`_distinct` values, each
+    formatted once per table, not once per row or per block.
     """
     for name, c in columns.items():
         if isinstance(c, np.ndarray) and not (c[1:] > c[:-1]).all():
-            columns[name] = _distinct(c)
+            values, codes = _distinct(c)
+            columns[name] = (_text(values), codes)
     for start in range(0, size, _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)
         yield {name: (c[0], c[1][rows]) if isinstance(c, tuple) else
@@ -338,7 +329,7 @@ def _check_joint_rows(p: int) -> None:
 def _joint_blocks(joint):
     """The ``P²`` rows of the joint table, whole runs of part-0 indices per block.
 
-    Per-part columns are pairs over the part arrays.  A float sum or product
+    Per-part columns are pairs formatted once per table.  A float sum or product
     depends only on its operands' bits, so a block's ``k_est`` and ``mass`` are
     its part-0 bit classes combined with every part-1 class, with codes computed.
     """
@@ -346,18 +337,19 @@ def _joint_blocks(joint):
     size = part1.mass.size
     index = np.arange(size)
     k0, k1, m0, m1 = map(_distinct, (part0.k_est, part1.k_est, part0.mass, part1.mass))
+    index_text, k0_text, k1_text = _text(index), _text(k0[0]), _text(k1[0])
     step = max(1, _BLOCK_ROWS // size)
     for start in range(0, size, step):
         rows = slice(start, min(start + step, size))
         block = {"p": joint.p, "bound": joint.bound, "oracle_queries": joint.oracle_queries,
-                 "omega_index_0": (index, np.repeat(index[rows], size)),
-                 "omega_index_1": (index, np.tile(index, rows.stop - start)),
-                 "k_est_0": (k0[0], np.repeat(k0[1][rows], size)),
-                 "k_est_1": (k1[0], np.tile(k1[1], rows.stop - start))}
+                 "omega_index_0": (index_text, np.repeat(index[rows], size)),
+                 "omega_index_1": (index_text, np.tile(index, rows.stop - start)),
+                 "k_est_0": (k0_text, np.repeat(k0[1][rows], size)),
+                 "k_est_1": (k1_text, np.tile(k1[1], rows.stop - start))}
         for name, op, (u0, c0), (u1, c1) in (("k_est", np.add, k0, k1),
                                              ("mass", np.multiply, m0, m1)):
             present, inverse = _distinct(c0[rows])
-            block[name] = (op.outer(u0[present], u1).ravel(),
+            block[name] = (_text(op.outer(u0[present], u1).ravel()),
                            (inverse[:, None] * u1.size + c1).ravel())
         yield block
 
@@ -365,11 +357,11 @@ def _joint_blocks(joint):
 def _cmd_count(args):
     inst = _instance_from_args(args)
     if args.trials < 1:
-        raise UsageError(f"--trials must be at least 1, got {args.trials}")
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     if args.trials > MAX_JOINT_ROWS:
         raise ResourceLimitError(f"--trials limited to {MAX_JOINT_ROWS}, got {args.trials}")
     if args.seed is not None and args.seed < 0:
-        raise UsageError(f"--seed must be nonnegative, got {args.seed}")
+        raise ValueError(f"--seed must be nonnegative, got {args.seed}")
     part = None if args.part == "both" else int(args.part)
     if args.mode == "sampled":
         seed = args.seed if args.seed is not None else _generate_seed()
@@ -402,7 +394,7 @@ def _cmd_sweep(args):
     try:
         cfg = load_sweep_config(args.config)
     except ValueError as exc:
-        raise UsageError(f"invalid sweep config: {exc}")
+        raise ValueError(f"invalid sweep config: {exc}")
     records = run_sweep(cfg)
     columns = {name: [getattr(r, name) for r in records] for name in SweepRecord.FIELD_ORDER}
     status = 0 if all(record.all_passed() for record in records) else 2
@@ -436,9 +428,9 @@ def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
         blocks, fieldnames, status = _COMMANDS[args.command](args)
-        emit(blocks, fieldnames, args.format or "csv", args.output)
+        emit(blocks, fieldnames, args.format, args.output)
         return status
-    except (UsageError, ValueError, ResourceLimitError, OSError) as exc:
+    except (ValueError, ResourceLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

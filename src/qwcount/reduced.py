@@ -118,9 +118,9 @@ def invariant_basis(inst: BipartiteInstance) -> InvariantBasis:
     return _invariant_basis(_arc_marks(inst))
 
 
-def _invariant_basis(marks: tuple[np.ndarray, np.ndarray, np.ndarray]) -> InvariantBasis:
+def _invariant_basis(marks: tuple[np.ndarray, ...]) -> InvariantBasis:
     """:func:`invariant_basis` from the instance's ``_arc_marks``."""
-    direction, tail, head = marks
+    _, direction, tail, head = marks
     classes = 4 * direction + 2 * ~tail + ~head
     vectors = []
     for index, size in enumerate(np.bincount(classes, minlength=8)):

@@ -14,13 +14,13 @@ array and the step is a real orthogonal matrix.
 The exact-integer operators are kept in one form each, their structure: the
 shift is an index map (:func:`_shift_map`), the oracle and the part oracles
 are ±1 sign vectors (:func:`_oracle_signs`), and the ancilla oracle is one
-2x2 block per arc (:func:`_ancilla_blocks`), both read from the arc marks of
-:func:`_arc_marks`.  The verify suite checks them in that form.  Only the
-coin and the oracle have dense builders: the step and the CLI's
-``--corrupt-oracle`` use them.  :func:`_step_from_coin` is the one formula
-for the step and :func:`_override_signs` the one reader of an oracle
-override.  Every builder reads :attr:`BipartiteInstance.dim`, the one size
-guard, before it allocates.
+2x2 block per arc (:func:`_ancilla_blocks`), all read from the arc marks of
+:func:`_arc_marks`, which carry the shift map.  The verify suite checks them
+in that form.  Only the coin and the oracle have dense builders: the step and
+the CLI's ``--corrupt-oracle`` use them.  :func:`_step_from_coin` is the one
+formula for the step, shifting by the marks it is given, and
+:func:`_override_signs` the one reader of an oracle override.  Every builder
+reads :attr:`BipartiteInstance.dim`, the one size guard, before it allocates.
 """
 
 from __future__ import annotations
@@ -149,22 +149,22 @@ def build_coin(inst: BipartiteInstance) -> np.ndarray:
     return coin
 
 
-def _arc_marks(inst: BipartiteInstance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per arc: its direction bit, whether its tail is marked, whether its head is.
-    The tail of arc ``(u, v)`` is ``u`` in direction 0 and ``v`` in direction 1;
-    the head of arc ``a`` is the tail of its reverse ``a ± n0·n1``."""
+def _arc_marks(inst: BipartiteInstance) -> tuple[np.ndarray, ...]:
+    """Per arc: its reverse (:func:`_shift_map`), its direction bit, whether its
+    tail is marked, whether its head is (the tail of its reverse).  The tail of
+    arc ``(u, v)`` is ``u`` in direction 0 and ``v`` in direction 1."""
+    reverse = _shift_map(inst)
     tail = np.zeros(inst.dim, dtype=bool).reshape(2, inst.n0, inst.n1)
     tail[0, list(inst.marked0), :] = True
     tail[1, :, list(inst.marked1)] = True
     tail = tail.ravel()
-    return np.arange(inst.dim) >= inst.num_edges, tail, tail[_shift_map(inst)]
+    return reverse, np.arange(inst.dim) >= inst.num_edges, tail, tail[reverse]
 
 
-def _oracle_signs(marks: tuple[np.ndarray, np.ndarray, np.ndarray],
-                  part: int | None = None) -> np.ndarray:
+def _oracle_signs(marks: tuple[np.ndarray, ...], part: int | None = None) -> np.ndarray:
     """The oracle's ±1 diagonal from :func:`_arc_marks`: −1 on each arc whose
     tail is marked, in direction ``part`` only unless it is None."""
-    direction, tail, _ = marks
+    _, direction, tail, _ = marks
     flipped = tail if part is None else tail & (direction == part)
     return np.where(flipped, -1.0, 1.0)
 
@@ -174,13 +174,13 @@ def build_oracle(inst: BipartiteInstance) -> np.ndarray:
     return np.diag(_oracle_signs(_arc_marks(inst)))
 
 
-def _ancilla_blocks(marks: tuple[np.ndarray, np.ndarray, np.ndarray], part: int) -> np.ndarray:
+def _ancilla_blocks(marks: tuple[np.ndarray, ...], part: int) -> np.ndarray:
     """The 2x2 ancilla block of each arc from :func:`_arc_marks`, shape ``(dim, 2, 2)``:
     the identity if the arc's tail is unmarked, ``X`` if it is marked, and
     ``−X`` if it is marked and the arc's direction is ``part``: the circuit
     ``CZ_part · F · CZ_part``, which acts as the part oracle on an ancilla in
     ``|+⟩`` and leaves it there.  Zeros are ``+0.0``."""
-    direction, marked, _ = marks
+    _, direction, marked, _ = marks
     blocks = np.zeros((len(marked), 2, 2))
     blocks[~marked, 0, 0] = blocks[~marked, 1, 1] = 1.0
     blocks[marked, 0, 1] = blocks[marked, 1, 0] = np.where(direction[marked] == part, -1.0, 1.0)
@@ -199,15 +199,12 @@ def _override_signs(inst: BipartiteInstance, oracle) -> np.ndarray:
 
 
 def _step_from_coin(inst: BipartiteInstance, coin: np.ndarray, oracle,
-                    marks=None) -> tuple[np.ndarray, np.ndarray]:
-    """The oracle's signs, and :func:`build_evolution`'s step formed from ``coin``.
-    The default oracle's signs are read from ``marks``, the instance's
-    :func:`_arc_marks`, which are formed here if None."""
-    if oracle is not None:
-        signs = _override_signs(inst, oracle)
-    else:
-        signs = _oracle_signs(_arc_marks(inst) if marks is None else marks)
-    return signs, coin[_shift_map(inst)] * signs + 0.0
+                    marks: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The oracle's signs, and :func:`build_evolution`'s step formed from
+    ``coin`` and ``marks``, the instance's :func:`_arc_marks`: the shift map
+    and, without an override, the oracle's signs are read from them."""
+    signs = _oracle_signs(marks) if oracle is None else _override_signs(inst, oracle)
+    return signs, coin[marks[0]] * signs + 0.0
 
 
 def build_evolution(inst: BipartiteInstance, oracle=None) -> np.ndarray:
@@ -218,7 +215,7 @@ def build_evolution(inst: BipartiteInstance, oracle=None) -> np.ndarray:
     rows gathered by :func:`_shift_map` and its columns scaled by the signs,
     exactly; adding ``0.0`` makes a scaled ``-0.0`` the product's ``+0.0``.
     """
-    return _step_from_coin(inst, build_coin(inst), oracle)[1]
+    return _step_from_coin(inst, build_coin(inst), oracle, _arc_marks(inst))[1]
 
 
 def uniform_state(inst: BipartiteInstance) -> np.ndarray:

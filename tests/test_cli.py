@@ -73,6 +73,25 @@ def test_invalid_marked_count_exits_1(capsys):
     assert run_cli(capsys, "spectrum", "--n0", "3", "--n1", "3", "--k0", "-1")[0] == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["count", "--n1", "3", "--p", "4"], "the following arguments are required: --n0"),
+    (["count", *FIG2_ARGS, "--p", "4", "--bogus"], "unrecognized arguments: --bogus"),
+    (["count", "--n0", "4", "--n1", "3", "--marked0", "x", "--p", "4"],
+     "--marked0 expects comma-separated integers, got 'x'"),
+    (["count", "--n0", "4", "--n1", "3", "--k0", "1", "--marked0", "0", "--p", "4"],
+     "--k0 and --marked0 are mutually exclusive"),
+    (["count", "--n0", "3", "--n1", "3", "--k0", "4", "--p", "4"],
+     "marked counts (4, 0) out of range for K_(3,3)"),
+    (["count", *FIG2_ARGS, "--p", "4", "--mode", "sampled", "--trials", "0"],
+     "--trials must be at least 1, got 0"),
+    (["count", *FIG2_ARGS, "--p", "4", "--mode", "sampled", "--seed", "-1"],
+     "--seed must be nonnegative, got -1"),
+], ids=["missing_n0", "unknown_flag", "marked0_not_integers", "k0_and_marked0",
+        "k0_out_of_range", "trials_0", "seed_negative"])
+def test_input_errors_print_one_line_and_exit_1(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
 def test_conflicting_mark_flags_exit_1(capsys):
     status, _, _ = run_cli(capsys, "spectrum", "--n0", "4", "--n1", "3",
                            "--k0", "2", "--marked0", "1,3")
@@ -613,11 +632,18 @@ def test_emitter_matches_row_reference_on_crafted_columns(capsys, fmt):
 def test_emitter_block_edges(capsys, fmt):
     # The same rows in one block and one row per block print the same bytes.
     block = _crafted_blocks()[0]
-    single = [{name: column[i:i + 1] if isinstance(column, (list, np.ndarray)) else column
-               for name, column in block.items()} for i in range(6)]
-    emit([block], CRAFTED_FIELDS, fmt, None)
+    block["pair"] = (cli._text(np.array([0.5, -0.0, 7.0])), np.array([2, 0, 1, 1, 0, 2]))
+    fieldnames = (*CRAFTED_FIELDS, "pair")
+
+    def row(column, i):
+        if isinstance(column, tuple):
+            return column[0], column[1][i:i + 1]
+        return column[i:i + 1] if isinstance(column, (list, np.ndarray)) else column
+
+    single = [{name: row(column, i) for name, column in block.items()} for i in range(6)]
+    emit([block], fieldnames, fmt, None)
     whole = capsys.readouterr().out
-    emit(iter(single), CRAFTED_FIELDS, fmt, None)
+    emit(iter(single), fieldnames, fmt, None)
     assert capsys.readouterr().out == whole
 
 
@@ -695,24 +721,31 @@ def _expanded(blocks):
              for name, column in block.items()} for block in blocks]
 
 
-def _fresh_pair_blocks():
-    # A new values array per block, with new contents: a cache keyed on a bare
-    # id() could meet a freed array's id again.
-    for block in range(6):
-        values = np.arange(block, block + 5, dtype=np.float64) / 3
-        yield {"shared": (values, np.arange(5)[::-1]),
-               "big": (values.view(np.uint64), [0, 1, 2, 3, 4]), "constant": block}
+def _text_pairs(blocks):
+    return [{name: (cli._text(column[0]), column[1]) if isinstance(column, tuple) else column
+             for name, column in block.items()} for block in blocks]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_emitter_pair_columns_match_row_reference(capsys, fmt):
     blocks = _pair_blocks()
-    emit(iter(blocks), PAIR_FIELDS, fmt, None)
+    emit(iter(_text_pairs(blocks)), PAIR_FIELDS, fmt, None)
     expected = _expanded(blocks)
     assert capsys.readouterr().out == ref_render(_rows_of(expected, PAIR_FIELDS), PAIR_FIELDS, fmt)
-    emit(_fresh_pair_blocks(), PAIR_FIELDS, fmt, None)
-    expected = _expanded(_fresh_pair_blocks())
-    assert capsys.readouterr().out == ref_render(_rows_of(expected, PAIR_FIELDS), PAIR_FIELDS, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_writer_formats_no_pair_text(monkeypatch, fmt):
+    # Pairs arrive formatted, and the other columns are scalars: the writer
+    # only gathers text.
+    blocks = _text_pairs(_pair_blocks())
+    calls = []
+    monkeypatch.setattr(cli, "_format_numbers", lambda values: calls.append(values.size))
+    handle = io.StringIO()
+    cli._write_table(handle, iter(blocks), ("shared", "constant"), fmt == "json")
+    assert calls == []
+    expected = _rows_of(_expanded(_pair_blocks()), ("shared", "constant"))
+    assert handle.getvalue() == ref_render(expected, ("shared", "constant"), fmt)
 
 
 def test_joint_table_formats_part_columns_once_and_class_products_per_block(monkeypatch):
@@ -929,7 +962,7 @@ def test_build_parser_returns_a_new_independent_parser(capsys):
     for command in commands.choices.values():
         command.set_defaults(format="json")
     assert first.parse_args(["spectrum", *FIG2_ARGS]).format == "json"
-    assert second.parse_args(["spectrum", *FIG2_ARGS]).format is None
+    assert second.parse_args(["spectrum", *FIG2_ARGS]).format == "csv"
     status, out, _ = run_cli(capsys, "spectrum", *FIG2_ARGS)
     assert status == 0
     assert out.startswith(",".join(SPECTRUM_FIELDS) + "\n")
@@ -965,7 +998,7 @@ def test_strictly_increasing_columns_skip_the_sort(capsys, monkeypatch, fmt):
     for increasing, columns in ((True, INCREASING_COLUMNS), (False, UNORDERED_COLUMNS)):
         for column in columns:
             sorted_sizes.clear()
-            assert cli._cells(column, as_json, {}) == [cli._format_scalar(v, as_json) for v in column]
+            assert cli._cells(column, as_json) == [cli._format_scalar(v, as_json) for v in column]
             assert sorted_sizes == []
             [block] = cli._row_blocks({"value": column, "label": "x"}, column.size)
             if increasing:
@@ -973,8 +1006,11 @@ def test_strictly_increasing_columns_skip_the_sort(capsys, monkeypatch, fmt):
                 assert block["value"].tobytes() == column.tobytes()
             else:
                 assert sorted_sizes == [column.size]
-                values, codes = block["value"]
-                assert values[codes].tobytes() == column.tobytes()
+                text, codes = block["value"]
+                assert text[codes].tolist() == cli._format_numbers(column)
+                values, distinct_codes = cli._distinct(column)
+                assert values[distinct_codes].tobytes() == column.tobytes()
+                assert (distinct_codes == codes).all()
                 assert unique(values.view(f"u{values.itemsize}")).size == values.size
             emit([block], fieldnames, fmt, None)
             reference = [{"value": column, "label": "x"}]

@@ -24,7 +24,6 @@ ALLOWED = {
     ("analysis", "walk", "_ancilla_blocks"),
     ("analysis", "walk", "_arc_marks"),
     ("analysis", "walk", "_oracle_signs"),
-    ("analysis", "walk", "_shift_map"),
     ("analysis", "walk", "_step_from_coin"),
     ("reduced", "walk", "_arc_marks"),
 }

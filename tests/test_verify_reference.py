@@ -157,7 +157,8 @@ def patch_helper(monkeypatch, name, broken):
         return broken(original(*args), *args)
 
     monkeypatch.setattr(walk, name, patched)
-    monkeypatch.setattr(analysis, name, patched)
+    if hasattr(analysis, name):  # where analysis imports the helper
+        monkeypatch.setattr(analysis, name, patched)
 
 
 def assert_rows_fail_as_dense(names):
