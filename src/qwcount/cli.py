@@ -8,11 +8,19 @@ suite on one instance).
 
 Each command returns its table as blocks of columns: a numpy array, a list,
 one scalar repeated on every row, or a ``(text, codes)`` pair.  :func:`emit`,
-the one writer for every command, formats a numeric column with one ``%``
-operation, gathers a pair's cells from its text, and keeps nothing between
-blocks.  The tables with a row per grid index or per trial come in blocks of
-at most ``_BLOCK_ROWS`` rows from :func:`_row_blocks`, which pairs every column
-not strictly increasing over its distinct bits (:func:`_distinct`), formatted
+the one writer for every command, formats a numeric column at once
+(:func:`_format_numbers`), gathers a pair's cells from its text, and keeps
+nothing between blocks.  A float column of at least ``_FLOAT_KERNEL_MIN``
+values is printed by a numpy kernel (:func:`_format_floats`) that decides
+each value's 17 digits from an exact double-double product, whose error is
+below 4e-15 units of the 17th digit; a value within ``_TIE_MARGIN`` of a
+rounding tie, zero, a non-finite value and one outside ``[1e-280, 1e290]``
+fall back to ``'%.17g'``, which prints every other column in one ``%``
+operation.  Both give the same bytes.
+
+The tables with a row per grid index or per trial come in blocks of at most
+``_BLOCK_ROWS`` rows from :func:`_row_blocks`, which pairs every column not
+strictly increasing over its distinct bits (:func:`_distinct`), formatted
 once per table (:func:`_text`).  The ``count --part both`` table, ``4^p``
 rows, formats its per-part columns as pairs once per table and is limited to
 :data:`MAX_JOINT_ROWS` rows (``p <= 10``), as are sampled trials.
@@ -74,6 +82,20 @@ MAX_JOINT_ROWS = 4**10
 _BLOCK_ROWS = 4096
 # How every float and integer is printed, one value or a whole array at once.
 _FLOAT_SPEC, _INT_SPEC = "%.17g", "%d"
+# Float64 arrays of at least this many values are printed by _format_floats;
+# below it, its fixed cost per call makes one `%` cheaper (crossover measured
+# near 225 values).
+_FLOAT_KERNEL_MIN = 256
+# Values per pass of _format_floats: its temporaries then fit a 2 MiB L2 cache.
+_FLOAT_KERNEL_PASS = 2048
+# Dekker's splitter 2**27 + 1 cuts a double into two halves whose products are exact.
+_SPLIT = 134217729.0
+# The kernel decides the 17th digit when the fraction of its product is this far
+# from a half.  The product's error is below 4e-15 (see _format_floats).
+_TIE_MARGIN = 1e-7
+# Decimal exponents of the kernel's range, |x| in [1e-280, 1e290]: no split or
+# product of _format_floats overflows or underflows there.
+_EXPONENTS = range(-281, 291)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -180,9 +202,147 @@ def _csv_field(text: str) -> str:
 
 
 def _format_numbers(values: np.ndarray) -> list[str]:
+    """Every value of a numeric array, as ``_format_scalar`` prints it.
+
+    A float64 array of at least ``_FLOAT_KERNEL_MIN`` values goes to
+    :func:`_format_floats`, ``_FLOAT_KERNEL_PASS`` values at a time; any
+    other in one ``%``.
+    """
+    if values.dtype != np.float64 or values.size < _FLOAT_KERNEL_MIN:
+        return _format_each(values)
+    cells = []
+    for start in range(0, values.size, _FLOAT_KERNEL_PASS):
+        cells += _format_floats(values[start:start + _FLOAT_KERNEL_PASS])
+    return cells
+
+
+def _format_each(values: np.ndarray) -> list[str]:
     """Every value of a numeric array, as ``_format_scalar`` prints it, in one ``%``."""
     spec = _FLOAT_SPEC if values.dtype.kind == "f" else _INT_SPEC
     return ((spec + "\n") * values.size % tuple(values.tolist())).split("\n")[:-1]
+
+
+@functools.cache
+def _power_of_ten(s: int) -> tuple[float, float, float, float]:
+    """``10**s`` as ``hi + lo``, each the double nearest what it stands for, and
+    the Dekker halves of ``hi``, from exact int arithmetic; one exponent at a time."""
+    if s >= 0:
+        hi = float(10**s)
+        lo = float(10**s - int(hi))
+    else:
+        hi = 1 / 10**-s
+        num, den = hi.as_integer_ratio()
+        lo = (den - num * 10**-s) / (den * 10**-s)
+    head = hi * _SPLIT
+    head -= head - hi
+    return hi, lo, head, hi - head
+
+
+@functools.cache
+def _digit_tables():
+    """The lookup tables of :func:`_format_floats`, built on its first call.
+
+    ``quads[v]`` is the four ASCII digits of ``v < 10**4`` as one uint32 and
+    ``zeros[v]`` their trailing zeros (4 for 0).  Per exponent of
+    ``_EXPONENTS``: ``suffixes`` holds the 8 bytes after the digits (``"\\n"``,
+    or ``"e-05\\n"`` in ``%g``'s exponent form) and ``layouts`` the row of
+    ``masks`` for 17 significant digits.  ``masks`` has a row per layout and
+    digit count.
+    """
+    quad = np.arange(10**4)
+    quads = (quad[:, None] // [1000, 100, 10, 1] % 10 + 48).astype(np.uint8).view(np.uint32)
+    zeros = sum((quad % 10**k == 0).astype(np.uint8) for k in range(1, 5))
+    zeros[0] = 4
+    suffixes = np.zeros((len(_EXPONENTS), 8), np.uint8)
+    for row, x in zip(suffixes, _EXPONENTS):
+        text = b"\n" if -4 <= x < 17 else b"e%+03d\n" % x
+        row[:len(text)] = np.frombuffer(text, np.uint8)
+    # A cell is 52 bytes: its 17 digits padded with zeros to 20 (the sign in
+    # the second byte), ".", the padded digits again and the suffix; the mask
+    # keeps the bytes the cell shows.  Layout c < 21 is the fixed form of
+    # exponent c - 4 and layout 21 the exponent form.  The first copy shows
+    # the digits before the point (or the "0" of "0.00ddd"), the second those
+    # after it, from padded position ``first``, so with a fixed form's zeros.
+    x = np.arange(-4, 17)
+    point = np.append(np.maximum(x + 1, 0), 1)[:, None, None]
+    first = np.append(x + 4, 4)[:, None, None]
+    count, column = np.arange(18)[:, None], np.arange(52)
+    masks = ((column == 1) | (column >= 44)
+             | ((column == 2) & (point == 0))
+             | ((column >= 3) & (column < 3 + point))
+             | ((column == 20) & (count > point))
+             | ((column >= 24 + first) & (column < 27 + count)))
+    masks = masks.reshape(-1, 52)
+    exponent = np.array(_EXPONENTS)
+    layouts = 18 * np.where((exponent >= -4) & (exponent < 17), exponent + 4, 21) + 17
+    return (quads.ravel(), zeros, np.ascontiguousarray(suffixes.view(np.uint32).T), layouts,
+            np.ascontiguousarray((masks * np.uint8(255)).view(np.uint32).T))
+
+
+def _format_floats(values: np.ndarray) -> list[str]:
+    """``'%.17g' % v`` for every ``v`` of a float64 array, most without ``%``.
+
+    ``y = |v|·10**(16 - e)``, ``e = floor(log10 |v|)``, is formed as ``p + t``:
+    ``10**(16 - e)`` is the exact pair ``hi + lo`` (:func:`_power_of_ten`),
+    ``|v|·hi = p + err`` exactly by Dekker's TwoProduct and ``t = err + |v|·lo``.
+    ``t`` is within 4e-15 of ``y - p``: 2**-106·y from the pair, half an ulp
+    of ``|v|·lo`` (below 12 in size) and half an ulp of ``t`` (below 20).  So
+    ``round(y)``, the 17 significant digits ``%`` prints, is decided unless
+    ``frac(t)`` is within ``_TIE_MARGIN`` of a half.  Such a value, one whose
+    ``floor(y)`` has not 17 digits (``log10`` is off near a power of ten),
+    zero, a non-finite value and one outside ``[1e-280, 1e290]`` go to ``%``.
+    The digits are laid out for every row at once (:func:`_digit_tables`),
+    bytes a cell does not show are zeroed, and the column is decoded once and
+    split.  A row sent to ``%`` is laid out too, its bytes ending in the one
+    newline of its suffix, and its cell is then replaced.
+    """
+    # Every index taken below is in range by construction; "clip" skips the check.
+    quads, zeros, suffixes, layouts, masks = _digit_tables()
+    size = values.size
+    a = np.abs(values)
+    ok = (a >= 1e-280) & (a <= 1e290)
+    a[~ok] = 1.0
+    e = np.floor(np.log10(a)).astype(np.intp)
+    low = int(e.min())
+    powers = np.array([_power_of_ten(16 - k) for k in range(low, int(e.max()) + 1)]).T
+    hi, lo, hi_head, hi_tail = np.take(powers, e - low, axis=1, mode="clip")
+    head = a * _SPLIT
+    head -= head - a
+    tail = a - head
+    p = a * hi
+    t = ((head * hi_head - p) + head * hi_tail + tail * hi_head) + tail * hi_tail + a * lo
+    whole = np.floor(t)
+    t -= whole
+    digits = p.astype(np.int64) + whole.astype(np.int64)
+    ok &= (digits >= 10**16) & (np.abs(t - 0.5) > _TIE_MARGIN)
+    digits += t > 0.5
+    ok &= digits < 10**17
+    e -= _EXPONENTS.start
+    upper = digits // 10**8
+    lower = (digits - upper * 10**8).astype(np.uint32)
+    upper = upper.astype(np.uint32)
+    q = np.array([upper // 10**8, upper // 10**4 % 10**4, upper % 10**4,
+                  lower // 10**4, lower % 10**4])
+    # Trailing zeros: those of the last nonzero quad, and 4 per zero quad after it.
+    trailing = np.zeros(size, np.uint8)
+    zero_tail = np.ones(size, bool)
+    for quad in q[:0:-1]:
+        trailing += zero_tail * np.take(zeros, quad, mode="clip")
+        zero_tail &= quad == 0
+    mask_row = np.take(layouts, e, mode="clip") - trailing
+    out = np.empty((13, size), np.uint32)
+    np.take(quads, q, out=out[:5], mode="clip")
+    out[5] = np.frombuffer(b".\0\0\0", np.uint32)
+    out[6:11] = out[:5]
+    np.take(suffixes, e, axis=1, out=out[11:], mode="clip")
+    out[0].view(np.uint8)[1::4] = (values < 0) * np.uint8(ord("-"))
+    out &= np.take(masks, mask_row, axis=1, mode="clip")
+    cells = out.T.tobytes().translate(None, b"\0").decode("ascii").split("\n")
+    cells.pop()
+    bad = np.flatnonzero(~ok)
+    for row, cell in zip(bad.tolist(), _format_each(values[bad])):
+        cells[row] = cell
+    return cells
 
 
 def _text(values: np.ndarray) -> np.ndarray:
@@ -312,11 +472,18 @@ def _row_blocks(columns: dict, size: int):
 
 
 def _part_blocks(dist):
+    """The ``P`` rows of a part table.  ``theta_est[m]`` is the grid phase
+    ``omega[fold(m)]``, bit for bit, so it is a pair over the text of ``omega``."""
+    index = np.arange(dist.mass.size)
+    omega = _text(dist.omega)
+    folded = np.searchsorted(dist.omega, dist.theta_est)
+    if not np.array_equal(dist.omega[folded].view(np.uint64), dist.theta_est.view(np.uint64)):
+        raise RuntimeError("theta_est holds a value that is not a grid phase")
     return _row_blocks({
         "p": dist.p, "part": dist.part, "n_part": dist.n_target, "k_part": dist.k_true,
-        "omega_index": np.arange(dist.mass.size), "omega_radians": dist.omega,
-        "theta_est": dist.theta_est, "k_est": dist.k_est, "mass": dist.mass,
-        "bound": dist.bound, "oracle_queries": dist.oracle_queries}, dist.mass.size)
+        "omega_index": index, "omega_radians": (omega, index), "theta_est": (omega, folded),
+        "k_est": dist.k_est, "mass": dist.mass, "bound": dist.bound,
+        "oracle_queries": dist.oracle_queries}, index.size)
 
 
 def _check_joint_rows(p: int) -> None:
@@ -390,13 +557,21 @@ def _cmd_count(args):
     return _row_blocks(columns, args.trials), SAMPLED_PART_FIELDS, 0
 
 
+def _column(values: list):
+    """A column of ints or of floats as a numpy array, formatted at once by the
+    writer; a column of bools or strings stays a list."""
+    array = np.array(values)
+    return array if array.dtype.kind in "if" else values
+
+
 def _cmd_sweep(args):
     try:
         cfg = load_sweep_config(args.config)
     except ValueError as exc:
         raise ValueError(f"invalid sweep config: {exc}")
     records = run_sweep(cfg)
-    columns = {name: [getattr(r, name) for r in records] for name in SweepRecord.FIELD_ORDER}
+    columns = {name: _column([getattr(r, name) for r in records])
+               for name in SweepRecord.FIELD_ORDER}
     status = 0 if all(record.all_passed() for record in records) else 2
     return [columns], SweepRecord.FIELD_ORDER, status
 
@@ -408,7 +583,7 @@ def _cmd_verify(args):
         oracle = build_oracle(inst)
         oracle[0, 0] = -oracle[0, 0]
     report = verify_suite(inst, args.p, oracle=oracle)
-    columns = {field: [getattr(c, attr) for c in report.checks]
+    columns = {field: _column([getattr(c, attr) for c in report.checks])
                for field, attr in zip(VERIFY_FIELDS, ("name", "value", "limit", "kind", "passed"))}
     return [columns], VERIFY_FIELDS, 0 if report.all_passed else 2
 

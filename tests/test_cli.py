@@ -16,6 +16,8 @@ from qwcount import cli
 from qwcount.analysis import MAX_SWEEP_POINTS, load_sweep_config, run_sweep, verify_suite
 from qwcount.cli import (
     _BLOCK_ROWS,
+    _FLOAT_KERNEL_MIN,
+    _FLOAT_KERNEL_PASS,
     DISTRIBUTION_FIELDS,
     MAX_JOINT_ROWS,
     PART_COUNT_FIELDS,
@@ -35,6 +37,7 @@ from qwcount.reduced import EIGENPHASE_LABELS, angles_from_instance, eigenphase_
 from qwcount.walk import BipartiteInstance, build_evolution, build_oracle, uniform_state
 
 from conftest import draw_index, package_env
+from test_cli_golden import GOLDEN
 
 FIG2_ARGS = ["--n0", "4", "--n1", "3", "--k0", "2", "--k1", "1"]
 
@@ -1015,3 +1018,115 @@ def test_strictly_increasing_columns_skip_the_sort(capsys, monkeypatch, fmt):
             emit([block], fieldnames, fmt, None)
             reference = [{"value": column, "label": "x"}]
             assert capsys.readouterr().out == ref_render(_rows_of(reference, fieldnames), fieldnames, fmt)
+
+
+def _float_edge_cases(rng):
+    """Values that test each decision of the float kernel, both signs."""
+    powers_of_ten = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    near_ten = [powers_of_ten]
+    for direction in (0.0, np.inf):
+        step = powers_of_ten
+        for _ in range(3):
+            step = np.nextafter(step, direction)
+            near_ten.append(step)
+    # n / 2**(17 - e) with n odd lies halfway between two 17-digit decimals.
+    ties = []
+    for e in range(-7, 16):
+        bits = 17 - e
+        low = -(-(2**bits * 10**(e + 8)) // 10**8)
+        high = min(2**bits * 10**(e + 9) // 10**8, 2**53)
+        ties += [int(n) * 2.0**-bits for n in rng.integers(low, high, 20) | 1]
+    edges = [1e-280, 1e290, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+             1e15 + 0.25, 1e15 + 0.75, 0.0, np.inf, np.nan]
+    values = np.concatenate([
+        rng.integers(0, 2**64, 8000, dtype=np.uint64).view(np.float64),
+        rng.random(8000),
+        (10**16 + np.arange(-300, 300)).astype(np.float64),
+        (10**17 + 16 * np.arange(-300, 300)).astype(np.float64),
+        *near_ten, np.ldexp(1.0, np.arange(-1074, 1024)), ties,
+        np.nextafter(edges[:2], 0.0), np.nextafter(edges[:2], np.inf), edges])
+    values = np.concatenate([values, -values])
+    return values[rng.permutation(values.size)]
+
+
+@pytest.mark.parametrize("log10_error", [0.0, -1e-12, 1e-12])
+def test_float_kernel_prints_the_bytes_of_percent(monkeypatch, log10_error):
+    # A log10 off by a little puts the leading digit of a value near a power
+    # of ten one place off; such a cell must go to %, not print 16 or 18 digits.
+    values = _float_edge_cases(np.random.default_rng(30))
+    reference = ["%.17g" % value for value in values.tolist()]
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: log10(a) + log10_error)
+    sizes = []
+    kernel = cli._format_floats
+    monkeypatch.setattr(cli, "_format_floats", lambda chunk: sizes.append(chunk.size) or kernel(chunk))
+    for size in (_FLOAT_KERNEL_MIN - 1, _FLOAT_KERNEL_MIN, values.size):
+        assert cli._format_numbers(values[:size]) == reference[:size]
+    chunks = [min(_FLOAT_KERNEL_PASS, values.size - start)
+              for start in range(0, values.size, _FLOAT_KERNEL_PASS)]
+    assert sizes == [_FLOAT_KERNEL_MIN] + chunks
+
+
+@pytest.mark.parametrize("name", ["distribution_analytic_p12_part64", "count_exact_both_p8_blocks"])
+def test_float_kernel_leaves_only_zeros_to_percent(monkeypatch, name):
+    # Grid phases, masses and estimates: every nonzero value is printed by the
+    # kernel, so a kernel that always fell back would fail here.
+    printed, fallen_back, inside = [], [], []
+    kernel, each = cli._format_floats, cli._format_each
+
+    def spy_kernel(values):
+        printed.append(values.size)
+        inside.append(True)
+        try:
+            return kernel(values)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(cli, "_format_floats", spy_kernel)
+    monkeypatch.setattr(cli, "_format_each",
+                        lambda values: fallen_back.extend(values.tolist() if inside else []) or each(values))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(GOLDEN[name][0]) == 0
+    assert sum(printed) >= 4096
+    assert set(fallen_back) <= {0.0}
+
+
+@pytest.mark.parametrize("part", [0, 1])
+def test_part_table_prints_theta_est_from_the_omega_text(monkeypatch, part):
+    argv = ["count", "--n0", "64", "--n1", "37", "--k0", "13", "--k1", "29", "--p", "12",
+            "--part", str(part)]
+    formatted = []
+    format_numbers = cli._format_numbers
+    monkeypatch.setattr(cli, "_format_numbers",
+                        lambda values: formatted.append(values.size) or format_numbers(values))
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(argv) == 0
+    dist = partial_count(12, _instance_from_args(build_parser().parse_args(argv)), part)
+    distinct = [np.unique(values.view(np.uint64)).size for values in (dist.k_est, dist.mass)]
+    # omega_index and omega_radians; theta_est adds no text (P/4 + 1 values before).
+    assert sum(formatted) == 2 * 4096 + sum(distinct)
+    rows = list(csv.DictReader(io.StringIO(out.getvalue())))
+    assert [row["theta_est"] for row in rows] == ["%.17g" % v for v in dist.theta_est.tolist()]
+
+
+def test_part_table_refuses_an_estimate_off_the_grid():
+    dist = partial_count(6, BipartiteInstance.from_counts(4, 3, 2, 1), 0)
+    theta = dist.theta_est.copy()
+    theta[3] = np.nextafter(theta[3], 0.0)
+    with pytest.raises(RuntimeError, match="not a grid phase"):
+        cli._part_blocks(dataclasses.replace(dist, theta_est=theta))
+
+
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+def test_sweep_and_verify_format_numeric_columns_at_once(capsys, monkeypatch, tmp_path, command):
+    config = tmp_path / "sweep.cfg"
+    config.write_text("n0 = 2..3\nn1 = 2\nk0 = 0..1\nk1 = 1\np = 3\n")
+    argv = {"verify": ["verify", *FIG2_ARGS, "--p", "4"],
+            "sweep": ["sweep", "--config", str(config)]}[command]
+    scalars = []
+    format_scalar = cli._format_scalar
+    monkeypatch.setattr(cli, "_format_scalar",
+                        lambda value, as_json: scalars.append(value) or format_scalar(value, as_json))
+    assert main(argv) == 0
+    assert capsys.readouterr().out
+    assert scalars and all(isinstance(value, (bool, str)) for value in scalars)
