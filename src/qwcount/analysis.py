@@ -47,7 +47,6 @@ from .walk import (
 
 __all__ = [
     "FULL_COUNT_SUCCESS_PROBABILITY",
-    "MAX_FULL_SPACE_EDGES",
     "MAX_SWEEP_POINTS",
     "BoundReport",
     "bound_satisfaction_mass",
@@ -108,9 +107,6 @@ def joint_success_mass(inst: BipartiteInstance, p: int) -> BoundReport:
     return _total_report(full_count(p, inst))
 
 
-_GRID_FIELDS = ("n0_values", "n1_values", "k0_values", "k1_values", "p_values")
-
-
 @dataclass(frozen=True)
 class SweepConfig:
     """Grid of instances and register sizes to check; every point gets every check.
@@ -126,14 +122,15 @@ class SweepConfig:
     p_values: tuple[int, ...]
 
     def __post_init__(self):
+        names = [field.name for field in fields(self)]
         try:
-            points = math.prod(len(getattr(self, name)) for name in _GRID_FIELDS)
+            points = math.prod(len(getattr(self, name)) for name in names)
         except OverflowError:  # len() of a range longer than sys.maxsize
             points = math.inf
         if points > MAX_SWEEP_POINTS:
             raise ResourceLimitError(
                 f"sweep limited to {MAX_SWEEP_POINTS} candidate grid points, got {points}")
-        for name in _GRID_FIELDS:
+        for name in names:
             values = tuple(getattr(self, name))
             object.__setattr__(self, name, values)
             if len(values) == 0:
@@ -241,14 +238,14 @@ def _sweep_point(point: tuple[int, int, int, int, int]) -> SweepRecord:
     joint = full_count(p, inst)
     reports = {"part0": _part_report(joint.part0), "part1": _part_report(joint.part1),
                "total": _total_report(joint)}
-    fields = {}
+    checks = {}
     for name, report in reports.items():
-        fields.update({f"{name}_bound": report.bound_value, f"{name}_mass": report.satisfied_mass,
+        checks.update({f"{name}_bound": report.bound_value, f"{name}_mass": report.satisfied_mass,
                        f"{name}_pass": report.passed()})
     return SweepRecord(
         n0=n0, n1=n1, k0=k0, k1=k1, p=p,
         theta0=angles.theta0, theta1=angles.theta1, mu=angles.mu, sigma=angles.sigma,
-        **fields,
+        **checks,
     )
 
 

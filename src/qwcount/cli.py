@@ -6,35 +6,17 @@ Commands: ``spectrum`` (angles and eigenphase weights), ``distribution``
 (grid of exact bound checks from a config file), ``verify`` (full check
 suite on one instance).
 
-Each command returns its table as blocks of columns: a numpy array, a list,
-one scalar repeated on every row, or a ``(text, codes)`` pair.  :func:`emit`,
-the one writer for every command, formats a numeric column at once
-(:func:`_format_numbers`), gathers a pair's cells from its text, and keeps
-nothing between blocks.  A float column of at least ``_FLOAT_KERNEL_MIN``
-values is printed by a numpy kernel (:func:`_format_floats`) that decides
-each value's 17 digits from an exact double-double product, whose error is
-below 4e-15 units of the 17th digit; a value within ``_TIE_MARGIN`` of a
-rounding tie, zero, a non-finite value and one outside ``[1e-280, 1e290]``
-fall back to ``'%.17g'``, which prints every other column in one ``%``
-operation.  Both give the same bytes.
-
-The tables with a row per grid index or per trial come in blocks of at most
-``_BLOCK_ROWS`` rows from :func:`_row_blocks`, which pairs every column not
-strictly increasing over its distinct bits (:func:`_distinct`), formatted
-once per table (:func:`_text`).  The ``count --part both`` table, ``4^p``
-rows, formats its per-part columns as pairs once per table and is limited to
-:data:`MAX_JOINT_ROWS` rows (``p <= 10``), as are sampled trials.
-
-:func:`main` parses with one parser per process, built on its first call, so
-in-process callers pay for the argparse tree once.
+Each command returns its table as blocks of columns, and :func:`emit`, the
+one writer for every command, writes each block as it comes and keeps
+nothing between blocks, so a table of :data:`MAX_JOINT_ROWS` rows is never
+held whole.
 
 Exit codes: 0 success, 1 invalid input or I/O failure, 2 verification or
 threshold failure.  Floating values are printed with 17 significant digits
 and identical inputs produce identical output bytes.  Sampled runs without
 ``--seed`` generate one, report it on stderr, and embed it in every row.  All
 trials draw from one generator seeded with it, the stream that
-:func:`~qwcount.phase_estimation.sample` draws, placed by one ``grid_indices``
-search per part.
+:func:`~qwcount.phase_estimation.sample` draws.
 """
 
 from __future__ import annotations
@@ -76,7 +58,7 @@ SAMPLED_TOTAL_FIELDS = ("trial", "p", "k_est_0", "k_est_1", "k_est", "k_rounded"
                         "bound", "oracle_queries", "seed")
 VERIFY_FIELDS = ("check", "value", "limit", "kind", "passed")
 
-# Rows of the exact ``count --part both`` table: p <= 10.
+# Rows of the exact ``count --part both`` table (p <= 10), and sampled ``--trials``.
 MAX_JOINT_ROWS = 4**10
 # Rows formatted and written at a time when that table is streamed.
 _BLOCK_ROWS = 4096
@@ -157,7 +139,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# main's parser, built on first use: the tree depends on no argument of main.
+# main's parser, built on its first call, so in-process callers pay for the
+# argparse tree once: the tree depends on no argument of main.
 _parser = functools.cache(build_parser)
 
 
@@ -409,7 +392,7 @@ def emit(blocks, fieldnames, output_format: str, destination: str | None) -> Non
     Each block maps every field name to a column: a numpy array, a list, one
     scalar repeated on every row, or a ``(text, codes)`` pair (:func:`_text`)
     whose row ``r`` shows ``text[codes[r]]``, all of one length within a block.
-    A numeric array has each value formatted, all with one ``%``.  Blocks may
+    A numeric array is formatted whole by :func:`_format_numbers`.  Blocks may
     come from a generator, so a large table is never held whole.
     """
     as_json = output_format == "json"

@@ -18,19 +18,7 @@ Two independent engines compute the same distribution over the phase grid
   uniform first register, controlled powers ``u^{2^e}`` obtained by repeated
   matrix squaring, inverse Fourier transform, first-register marginal.  It
   never consults eigenvalues, so agreement between the two engines is a real
-  cross-check.  The controlled powers are applied by prefix doubling: bits
-  act in increasing order, so before bit ``e`` only the first ``2^e``
-  register values hold distinct states, and bit ``e`` fills values
-  ``2^e..2^{e+1}-1`` with ``u^{2^e}`` times that prefix.  That is the state
-  a per-bit gather and scatter builds, for ``(P-1)·d²`` row work and
-  ``p-1`` squarings instead of ``p·(P/2)·d²`` and ``p``.  A real walk from
-  a real start keeps a real state throughout: the register transform is
-  then a real-input FFT of outcomes ``0..P/2``, and the rest follow exactly
-  from the Hermitian mirror ``mass[P − m] = mass[m]``.  Either transform
-  takes a block of rows of the state at a time, so the engine holds the
-  joint state plus one block of transformed rows; both branches add the
-  blocks' squares onto one running sum in row order, so their masses do
-  not depend on the block size.
+  cross-check.
 
 Sampling is a pure function of (distribution, seed, n) backed by NumPy's
 PCG64 generator; there is no hidden global RNG state.  Every sampler of the
@@ -278,10 +266,11 @@ def circuit_distribution(u, psi, p: int) -> PhaseDistribution:
     ``state[:, 2^e:2^{e+1}] = u^{2^e} @ state[:, :2^e]`` (written in place
     by ``np.matmul(..., out=...)``), and each column gets the same powers in
     the same order as a per-bit gather and scatter over all ``P`` columns
-    would give it.  The cost is ``(P-1)·d²`` row work
-    and ``p-1`` squarings.  The state takes the promoted dtype of ``u`` and
-    ``psi``, so for a real walk and a real start the squarings and the prefix
-    doubling run in real arithmetic; a complex operand makes them complex.
+    would give it.  The cost is ``(P-1)·d²`` row work and ``p-1`` squarings,
+    against ``p·(P/2)·d²`` and ``p`` for that gather and scatter.  The state
+    takes the promoted dtype of ``u`` and ``psi``, so for a real walk and a
+    real start the squarings and the prefix doubling run in real arithmetic;
+    a complex operand makes them complex.
 
     The register Fourier transform follows the state's dtype too.  A complex
     state takes the full FFT and the marginal ``|·|²`` summed over the

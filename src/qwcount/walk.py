@@ -34,6 +34,7 @@ from .errors import ResourceLimitError
 from .linalg import as_matrix
 
 __all__ = [
+    "MAX_FULL_SPACE_EDGES",
     "BipartiteInstance",
     "build_coin",
     "build_oracle",

@@ -398,6 +398,22 @@ def test_walk_part_count_is_grover_count_one_qubit_down():
         assert np.abs(walk[1] - grover[1]).max() <= 2e-15, (n, k, p)
 
 
+def test_walk_cell_pair_sums_to_grover_kernel_symbolically():
+    # Cells m and m + P of the part walk's 2P register evaluate the kernel
+    # K_Q(x) = sin²(πx)/(Q² sin²(πx/Q)) at x and x − P; their sum is
+    # Grover's K_P(x) for every real x, since 1/sin²y + 1/cos²y = 4/sin²2y.
+    # sin²(π(x − P)) = sin²(πx) needs P to be an integer.
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x", real=True)
+    big_p = sympy.Symbol("P", integer=True, positive=True)
+
+    def kernel(q, y):
+        return sympy.sin(sympy.pi * y)**2 / (q**2 * sympy.sin(sympy.pi * y / q)**2)
+
+    difference = kernel(2 * big_p, x) + kernel(2 * big_p, x - big_p) - kernel(big_p, x)
+    assert sympy.simplify(difference) == 0
+
+
 def test_grover_mixture_weights():
     mixture = grover_mixture(4, 1)
     assert mixture.phases[0] == pytest.approx(math.pi / 3, abs=1e-12)

@@ -1,15 +1,19 @@
-"""Private names that one ``qwcount`` module imports from another, and
-public names that no ``qwcount`` module uses.
+"""Private names that one ``qwcount`` module imports from another, public
+names that no ``qwcount`` module uses, and the package's public names.
 
 A private helper shared across modules couples them.  Every such import is
 listed in ``ALLOWED``, so adding one is a visible change to this file.  A
 public function or class that no module of the package references is there
 for callers outside it only; each is listed in ``UNREFERENCED`` with the
-caller that keeps it, so adding one is a visible change too.
+caller that keeps it, so adding one is a visible change too.  A module's
+``__all__`` is the one declaration of what it publishes: the package
+republishes it whole with ``import *`` and lists no name of its own.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
+from types import ModuleType
 
 import qwcount
 
@@ -88,3 +92,46 @@ def _unreferenced_public_names():
 
 def test_public_names_no_module_uses_are_listed():
     assert _unreferenced_public_names() == set(UNREFERENCED)
+
+
+def _top_level_names(tree):
+    """Names a module's own top-level statements bind: functions, classes
+    and assignment targets; an import binds none."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(name.id for target in node.targets for name in ast.walk(target)
+                         if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store))
+    return names
+
+
+def _declared(tree):
+    """The module's ``__all__`` as a list, or None if it declares none."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets):
+            return ast.literal_eval(node.value)
+    return None
+
+
+def test_package_republishes_each_module_all_once():
+    trees = dict(_modules())
+    star_imports = {(stem, node.module) for stem, tree in trees.items() for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and any(a.name == "*" for a in node.names)}
+    assert {stem for stem, _ in star_imports} == {"__init__"}
+    assert {alias.name for node in ast.walk(trees["__init__"]) if isinstance(node, ast.ImportFrom)
+            for alias in node.names} == {"*"}
+    declared = {stem: names for stem, tree in trees.items() if (names := _declared(tree)) is not None}
+    republished = {module for _, module in star_imports}
+    assert republished <= set(declared)
+
+    public = {name for name, value in vars(qwcount).items()
+              if not name.startswith("_") and not isinstance(value, ModuleType)}
+    assert public == {name for module in republished for name in declared[module]}
+
+    counts = Counter(name for names in declared.values() for name in names)
+    assert {name for name, count in counts.items() if count > 1} == set()
+    assert {(stem, name) for stem, names in declared.items() for name in names
+            if name not in _top_level_names(trees[stem])} == set()
