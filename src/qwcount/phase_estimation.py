@@ -256,9 +256,10 @@ def exact_distribution(mixture: EigenphaseMixture, p: int) -> PhaseDistribution:
 def circuit_distribution(u, psi, p: int) -> PhaseDistribution:
     """Outcome distribution by direct simulation of the estimation circuit.
 
-    Holds the joint state as a ``(d, P)`` array, one column per register
-    value, so the register Fourier transform runs along the contiguous axis.
-    After the Hadamards every column is ``ψ/sqrt(P)``, and control bit ``e``
+    The joint state is a ``(d, P)`` array, one column per register value,
+    so the register Fourier transform runs along the contiguous axis; the
+    engine holds ``d·P/2`` amplitudes of it and one block of rows.  After
+    the Hadamards every column is ``ψ/sqrt(P)``, and control bit ``e``
     applies ``u^{2^e}`` (the previous power squared) to each column whose
     bit ``e`` is set.  Bits act in increasing order, so once bits ``0..e-1``
     have acted, column ``m`` equals column ``m mod 2^e``: only the first
@@ -266,11 +267,14 @@ def circuit_distribution(u, psi, p: int) -> PhaseDistribution:
     ``state[:, 2^e:2^{e+1}] = u^{2^e} @ state[:, :2^e]`` (written in place
     by ``np.matmul(..., out=...)``), and each column gets the same powers in
     the same order as a per-bit gather and scatter over all ``P`` columns
-    would give it.  The cost is ``(P-1)·d²`` row work and ``p-1`` squarings,
-    against ``p·(P/2)·d²`` and ``p`` for that gather and scatter.  The state
-    takes the promoted dtype of ``u`` and ``psi``, so for a real walk and a
-    real start the squarings and the prefix doubling run in real arithmetic;
-    a complex operand makes them complex.
+    would give it.  The prefix stops at ``P/2`` columns: the last bit's half
+    ``u^{P/2} @ state`` is formed one block of rows at a time, beside the
+    block's held half, just before the block is transformed.  The cost is
+    ``(P-1)·d²`` row work and ``p-1`` squarings, against ``p·(P/2)·d²`` and
+    ``p`` for that gather and scatter.  The state takes the promoted dtype
+    of ``u`` and ``psi``, so for a real walk and a real start the squarings
+    and the prefix doubling run in real arithmetic; a complex operand makes
+    them complex.
 
     The register Fourier transform follows the state's dtype too.  A complex
     state takes the full FFT and the marginal ``|·|²`` summed over the
@@ -279,11 +283,11 @@ def circuit_distribution(u, psi, p: int) -> PhaseDistribution:
     over the system axis and divided by ``P`` (exact, a power of two), and
     outcomes ``P/2+1..P−1`` copy the Hermitian mirror
     ``mass[P − m] = mass[m]``, so mirror masses are bit-equal.  Either
-    transform runs over ``_BLOCK_ROWS`` rows of the state at a time, so
-    besides the joint state the engine holds one block of transformed rows.
-    Both branches add each block's squares onto one running sum in row
-    order, the order of a sum over the whole state, so their masses do not
-    depend on the block size.
+    transform runs over ``_BLOCK_ROWS`` rows of the state at a time, each
+    FFT writing into a buffer the engine already holds.  Both branches add
+    each block's squares onto one running sum in row order, the order of a
+    sum over the whole state, so their masses do not depend on the block
+    size.
 
     Input is validated once, here; the private core ``_circuit_marginal``
     takes the defect of ``u``, so the verify suite, which has just reported
@@ -315,50 +319,60 @@ def _circuit_marginal(um: np.ndarray, vec: np.ndarray, p: int, defect: float) ->
     if abs(norm - 1.0) > _UNITARITY_TOL:
         raise ValueError(f"state norm {norm} is not 1 within {_UNITARITY_TOL:.1e}")
 
-    n = 2**p
-    state = np.empty((vec.shape[0], n), dtype=np.result_type(um, vec))
+    n, half = 2**p, 2**(p - 1)
+    d = vec.shape[0]
+    state = np.empty((d, half), dtype=np.result_type(um, vec))
     state[:, 0] = vec / math.sqrt(n)
     power = um
-    for e in range(p):
-        half = 2**e
-        if e:
-            power = power @ power
-        np.matmul(power, state[:, :half], out=state[:, half:2 * half])
-    del power
-    # Inverse Fourier transform on the register index, _BLOCK_ROWS rows at a
-    # time.  Row 0 of ``rows`` is the running sum and rows 1..b take a block's
-    # squares, so one reduction adds them onto it in row order, as a sum over
-    # the whole state would.
+    for e in range(p - 1):
+        width = 2**e
+        np.matmul(power, state[:, :width], out=state[:, width:2 * width])
+        power = power @ power
+    # Bit p - 1 and the inverse Fourier transform on the register index,
+    # _BLOCK_ROWS rows at a time: ``whole`` takes a block's held half and,
+    # in its other half, the block's rows of ``u^{P/2} @ state``.  Row 0 of
+    # ``rows`` is the running sum and rows 1..b take a block's squares, so
+    # one reduction adds them onto it in row order, as a sum over the whole
+    # state would.  A one-row product goes to gemv, whose sums can differ
+    # from gemm's in the last bit, so a lone last row is formed with the row
+    # before it and only the new row is transformed.
     real = not np.iscomplexobj(state)
-    rows = np.zeros((min(state.shape[0], _BLOCK_ROWS) + 1, n + 2 if real else n))
+    whole = np.empty((min(d, _BLOCK_ROWS), n), dtype=state.dtype)
+    rows = np.zeros((whole.shape[0] + 1, n + 2 if real else n))
     column = rows[0]
-    for start in range(0, state.shape[0], _BLOCK_ROWS):
-        block = state[start:start + _BLOCK_ROWS]
+    for start in range(0, d, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, d)
+        first = start - 1 if stop - start == 1 and start else start
+        block = whole[:stop - first]
+        block[:, :half] = state[first:stop]
+        np.matmul(power[first:stop], state, out=block[:, half:])
+        block = block[start - first:]
         _transform_squares(block, rows[1:block.shape[0] + 1])
         np.add.reduce(rows[:block.shape[0] + 1], axis=0, out=column)
+    del state, whole, power
     if not real:
         return PhaseDistribution(p, column)
-    mid = n // 2
     mass = np.empty(n)
-    mass[:mid + 1] = (column[0::2] + column[1::2]) / n
-    mass[mid + 1:] = mass[mid - 1:0:-1]
+    mass[:half + 1] = (column[0::2] + column[1::2]) / n
+    mass[half + 1:] = mass[half - 1:0:-1]
     return PhaseDistribution(p, mass)
 
 
 def _transform_squares(block: np.ndarray, out: np.ndarray) -> None:
     """Write the squared register transform of ``block``'s rows into ``out``.
 
-    A real block takes the real-input FFT, whose float view holds ``re, im``
-    pairs, squared.  A complex block takes ``|FFT / sqrt(P)|²``.  The
-    transform is a local, so it is freed before the next block's is formed.
+    A real block takes the real-input FFT into the complex view of ``out``,
+    whose ``re, im`` pairs are then squared.  A complex block takes the FFT
+    in place, then ``|· / sqrt(P)|²`` into ``out``.  Neither allocates a
+    transform of its own.
     """
     if np.iscomplexobj(block):
-        spectrum = np.fft.fft(block, axis=1)
-        spectrum /= math.sqrt(block.shape[1])
-        np.abs(spectrum, out=out)
-        np.square(out, out=out)
+        np.fft.fft(block, axis=1, out=block)
+        block /= math.sqrt(block.shape[1])  # before |·|²: sqrt(2^p) is inexact at odd p
+        np.abs(block, out=out)
     else:
-        np.square(np.fft.rfft(block, axis=1).view(np.float64), out=out)
+        np.fft.rfft(block, axis=1, out=out.view(np.complex128))
+    np.square(out, out=out)
 
 
 def grid_indices(cumulative: np.ndarray, uniforms):

@@ -22,7 +22,7 @@ from qwcount import (
     partial_count_error_bound,
     total_variation,
 )
-from qwcount.reduced import angles_from_instance, eigenphase_table
+from qwcount.reduced import WalkAngles, angles_from_instance, eigenphase_table, part_angle
 
 from conftest import (
     build_part_oracle,
@@ -412,6 +412,34 @@ def test_walk_cell_pair_sums_to_grover_kernel_symbolically():
 
     difference = kernel(2 * big_p, x) + kernel(2 * big_p, x - big_p) - kernel(big_p, x)
     assert sympy.simplify(difference) == 0
+
+
+def test_part_walk_eigenphases_are_half_the_part_angle():
+    # At angles (θ, 0) both orbits of the walk have base θ/2, the half angle
+    # the cell pair above adds up; ±θ/2 weigh cos²(θ/4)/4 and ±(π − θ/2)
+    # weigh sin²(θ/4)/4.
+    for n in range(1, 17):
+        for k in range(n + 1):
+            theta = part_angle(k, n)
+            mixture = eigenphase_table(WalkAngles(theta, 0.0))
+            assert mixture.bases.tolist() == [theta / 2, theta / 2], (n, k)
+            cos_sq, sin_sq = math.cos(theta / 4) ** 2 / 4, math.sin(theta / 4) ** 2 / 4
+            np.testing.assert_allclose(mixture.orbit_weights, [[cos_sq, cos_sq, sin_sq, sin_sq]] * 2,
+                                       rtol=0, atol=1e-16, err_msg=f"n={n}, k={k}")
+
+
+@pytest.mark.parametrize("p", range(1, 13))
+def test_part_walk_quarter_fold_is_grover_fold_mod_p(p):
+    # The walk's fold takes cell m of its 2P register to half the angle
+    # Grover's fold gives cell m mod P of a P register, so cells m, P − m,
+    # P + m and 2P − m land on Grover's m and P − m, and both read the same
+    # count.  The fold does not depend on (n, k).
+    size = 2**p
+    walk = partial_count(p + 1, BipartiteInstance.from_counts(7, 1, 3, 0), 0)
+    grover = grover_count(p, 7, 3)
+    cells = np.arange(2 * size) % size
+    assert np.array_equal(walk.theta_est, grover.theta_est[cells] / 2)
+    assert np.array_equal(walk.k_est, grover.k_est[cells])
 
 
 def test_grover_mixture_weights():

@@ -522,7 +522,7 @@ def one_shot_circuit_masses(u, psi, p):
 BLOCK = phase_estimation._BLOCK_ROWS
 
 
-@pytest.mark.parametrize("d", [1, BLOCK - 1, BLOCK, BLOCK + 1, 84, 128])
+@pytest.mark.parametrize("d", [1, BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + 2, 2 * BLOCK + 1, 84, 128])
 @pytest.mark.parametrize("p", [1, 2, 11])
 def test_blocked_register_transform_is_bit_identical_to_one_shot(d, p):
     # Blocks add their squares onto the running sum in row order, so the
@@ -547,19 +547,22 @@ def traced_peak(call):
 
 
 def test_circuit_on_largest_walk_holds_its_state_and_a_bounded_block():
-    # The 128 x 4096 float64 state is 4 MiB; the one-shot real-input
-    # transform beside it peaked at 8.22 MiB.
+    # The 128 x 4096 float64 state is 4 MiB, of which the engine holds half
+    # beside one 16-row block: 3.19 MiB under tracemalloc (numpy 2.4).
+    # Holding the whole state beside a block peaks at 5.03 MiB, above the
+    # bound.
     evolution, start = build_evolution(K88, build_oracle(K88)), uniform_state(K88)
     peak = traced_peak(lambda: circuit_distribution(evolution, start, MAX_CIRCUIT_QUBITS))
-    assert peak < (4 + 2) * 2**20
+    assert peak < 4 * 2**20
 
 
 def test_complex_circuit_holds_its_state_and_a_bounded_block():
-    # The 128 x 2048 complex128 state is 4 MiB; the one-shot FFT and its
-    # |·|² beside it peaked at about twice that.
+    # The 128 x 2048 complex128 state is 4 MiB, of which the engine holds
+    # half beside one 16-row block, transformed in place: 3.03 MiB.  Holding
+    # the whole state beside a block peaks at 4.77 MiB, above the bound.
     u, psi = random_unitary_and_state(np.random.default_rng(128), 128)
     peak = traced_peak(lambda: circuit_distribution(u, psi, 11))
-    assert peak < 1.3 * 128 * 2**11 * 16
+    assert peak < 4 * 2**20
 
 
 def test_circuit_rejects_nonunitary():
