@@ -143,15 +143,16 @@ class SweepConfig:
 
 def _parse_int_values(text: str, key: str) -> range | tuple[int, ...]:
     text = text.strip()
-    if ".." in text:
-        lo_text, hi_text = text.split("..", 1)
-        lo, hi = int(lo_text), int(hi_text)
-        if hi < lo:
-            raise ValueError(f"{key}: empty range {text!r}")
-        return range(lo, hi + 1)
-    values = tuple(int(item.strip()) for item in text.split(",") if item.strip())
+    lo, span, hi = text.partition("..")
+    try:
+        if span:
+            values = range(int(lo), int(hi) + 1)
+        else:
+            values = tuple(int(item) for item in text.split(",") if item.strip())
+    except ValueError:
+        raise ValueError(f"{key}: expected integers, got {text!r}") from None
     if not values:
-        raise ValueError(f"{key}: no values")
+        raise ValueError(f"{key}: empty range {text!r}" if span else f"{key}: no values")
     return values
 
 

@@ -455,17 +455,16 @@ def _row_blocks(columns: dict, size: int):
 
 
 def _part_blocks(dist):
-    """The ``P`` rows of a part table.  ``theta_est[m]`` is the grid phase
-    ``omega[fold(m)]``, bit for bit, so it is a pair over the text of ``omega``."""
-    index = np.arange(dist.mass.size)
-    omega = _text(dist.omega)
-    folded = np.searchsorted(dist.omega, dist.theta_est)
-    if not np.array_equal(dist.omega[folded].view(np.uint64), dist.theta_est.view(np.uint64)):
-        raise RuntimeError("theta_est holds a value that is not a grid phase")
+    """The ``P`` rows of a part table.  ``theta_est`` and ``k_est`` are pairs
+    over the fold: each cell ``c ≤ F`` folds onto itself, so ``theta_est``
+    reads the text of ``omega`` and ``k_est`` that of ``k_est[:F + 1]``."""
+    index = np.arange(dist.n_points)
+    omega = _text(dist.omegas())
+    classes = dist.k_est[:dist.fold.max() + 1]
     return _row_blocks({
         "p": dist.p, "part": dist.part, "n_part": dist.n_target, "k_part": dist.k_true,
-        "omega_index": index, "omega_radians": (omega, index), "theta_est": (omega, folded),
-        "k_est": dist.k_est, "mass": dist.mass, "bound": dist.bound,
+        "omega_index": index, "omega_radians": (omega, index), "theta_est": (omega, dist.fold),
+        "k_est": (_text(classes), dist.fold), "mass": dist.mass, "bound": dist.bound,
         "oracle_queries": dist.oracle_queries}, index.size)
 
 
@@ -479,14 +478,17 @@ def _check_joint_rows(p: int) -> None:
 def _joint_blocks(joint):
     """The ``P²`` rows of the joint table, whole runs of part-0 indices per block.
 
-    Per-part columns are pairs formatted once per table.  A float sum or product
-    depends only on its operands' bits, so a block's ``k_est`` and ``mass`` are
-    its part-0 bit classes combined with every part-1 class, with codes computed.
+    Per-part columns are pairs formatted once per table.  A part's k̃ classes are
+    its fold, over ``k_est[:F + 1]``; its mass classes are its :func:`_distinct`
+    bits.  A float sum or product depends only on its operands' bits, so a
+    block's ``k_est`` and ``mass`` are its part-0 classes combined with every
+    part-1 class, with codes computed.
     """
     part0, part1 = joint.part0, joint.part1
-    size = part1.mass.size
+    size = part1.n_points
     index = np.arange(size)
-    k0, k1, m0, m1 = map(_distinct, (part0.k_est, part1.k_est, part0.mass, part1.mass))
+    k0, k1 = ((part.k_est[:part.fold.max() + 1], part.fold) for part in (part0, part1))
+    m0, m1 = _distinct(part0.mass), _distinct(part1.mass)
     index_text, k0_text, k1_text = _text(index), _text(k0[0]), _text(k1[0])
     step = max(1, _BLOCK_ROWS // size)
     for start in range(0, size, step):
@@ -536,15 +538,8 @@ def _cmd_count(args):
     if part is None:
         columns.update(k_est_0=k_parts[0], k_est_1=k_parts[1])
         return _row_blocks(columns, args.trials), SAMPLED_TOTAL_FIELDS, 0
-    columns.update(part=part, theta_est=dist.theta_est[picks[0]])
+    columns.update(part=part, theta_est=dist.omegas()[dist.fold[picks[0]]])
     return _row_blocks(columns, args.trials), SAMPLED_PART_FIELDS, 0
-
-
-def _column(values: list):
-    """A column of ints or of floats as a numpy array, formatted at once by the
-    writer; a column of bools or strings stays a list."""
-    array = np.array(values)
-    return array if array.dtype.kind in "if" else values
 
 
 def _cmd_sweep(args):
@@ -553,7 +548,7 @@ def _cmd_sweep(args):
     except ValueError as exc:
         raise ValueError(f"invalid sweep config: {exc}")
     records = run_sweep(cfg)
-    columns = {name: _column([getattr(r, name) for r in records])
+    columns = {name: np.array([getattr(r, name) for r in records])
                for name in SweepRecord.FIELD_ORDER}
     status = 0 if all(record.all_passed() for record in records) else 2
     return [columns], SweepRecord.FIELD_ORDER, status
@@ -566,7 +561,7 @@ def _cmd_verify(args):
         oracle = build_oracle(inst)
         oracle[0, 0] = -oracle[0, 0]
     report = verify_suite(inst, args.p, oracle=oracle)
-    columns = {field: _column([getattr(c, attr) for c in report.checks])
+    columns = {field: np.array([getattr(c, attr) for c in report.checks])
                for field, attr in zip(VERIFY_FIELDS, ("name", "value", "limit", "kind", "passed"))}
     return [columns], VERIFY_FIELDS, 0 if report.all_passed else 2
 

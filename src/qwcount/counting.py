@@ -12,8 +12,8 @@ probability masses instead of statistical claims.  There is no single-shot
 mode: the CLI's ``count`` command draws runs by placing one uniform per part
 per trial on the cumulative sum of a distribution's ``mass``.
 
-A pushforward is held as read-only float64 arrays indexed by grid index
-(``omega``, ``theta_est``, ``k_est``, ``mass``).
+A pushforward is the outcome distribution on the grid plus the grid cell
+each outcome folds onto and its count (:class:`CountDistribution`).
 
 Counting a single part runs the walk whose oracle marks only that part, so
 its distribution depends on ``(n_j, k_j, p)`` alone; the other part's size
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phase_estimation import TWO_PI, EigenphaseMixture, exact_distribution
+from .phase_estimation import TWO_PI, EigenphaseMixture, PhaseDistribution, exact_distribution
 from .reduced import WalkAngles, eigenphase_table, part_angle
 from .walk import BipartiteInstance
 
@@ -95,32 +95,31 @@ def adjusted_full_count_error_bound(k0: int, n0: int, k1: int, n1: int, grid_siz
 
 
 @dataclass(frozen=True, eq=False)
-class CountDistribution:
+class CountDistribution(PhaseDistribution):
     """Exact pushforward distribution of a single estimation run.
 
-    ``omega``, ``theta_est``, ``k_est`` and ``mass`` are read-only float64
-    arrays indexed by grid index: the grid phase, its folded estimate, the
-    count estimate and the exact probability of that outcome.  ``part`` is 0
-    or 1 for bipartite single-part counts and None for the unstructured-search
-    baseline, where ``theta_est`` is the folded phase in [0, π] and
-    ``k_est = n_target sin²(theta_est / 2)``.
+    The outcome distribution on the ``P``-point grid, plus read-only arrays
+    indexed by grid index: ``fold``, the cell each outcome folds onto, whose
+    folded phase is ``omegas()[fold]``, and ``k_est``, its count.  Cells
+    ``0..F`` (``F = fold.max()``) fold onto themselves, and their counts
+    strictly increase.  ``part`` is 0 or 1 for bipartite single-part counts
+    and None for the unstructured-search baseline, where the folded phase
+    ``θ̃`` lies in [0, π] and ``k_est = n_target sin²(θ̃ / 2)``.
     """
 
-    p: int
     n_target: int
     k_true: int
     part: int | None
     bound: float
     oracle_queries: int
-    omega: np.ndarray
-    theta_est: np.ndarray
     k_est: np.ndarray
-    mass: np.ndarray
+    fold: np.ndarray
 
     def __post_init__(self):
-        for name in ("omega", "theta_est", "k_est", "mass"):
-            values = np.array(getattr(self, name), dtype=np.float64)
-            if values.shape != (2**self.p,):
+        super().__post_init__()
+        for name, dtype in (("k_est", np.float64), ("fold", np.intp)):
+            values = np.array(getattr(self, name), dtype=dtype)
+            if values.shape != self.mass.shape:
                 raise ValueError(f"{name} needs {2**self.p} values for p={self.p}, got {values.shape}")
             values.setflags(write=False)
             object.__setattr__(self, name, values)
@@ -160,9 +159,9 @@ class FullCountDistribution:
     def mass_within(self, radius: float) -> float:
         """Exact joint probability that ``k̃0 + k̃1`` lies within ``radius`` of ``k_true``.
 
-        ``O(P log P)``: part 1 is sorted by ``k̃1`` with prefix sums of its
-        mass, so the pairs with a given ``k̃0`` inside the event form one run
-        of sorted positions.  Each end of that run starts at a
+        ``O(P log P)``: part 1 is sorted by its fold, and so by ``k̃1``, with
+        prefix sums of its mass, so the pairs with a given ``k̃0`` inside the
+        event form one run of sorted positions.  Each end of that run starts at a
         ``searchsorted`` guess and steps to where the exact predicate
         ``(k̃0 + k̃1) - k_true < -radius`` (or ``<= radius``) changes value.
         Rounding is monotone, so the predicate is monotone in ``k̃1`` and ties
@@ -172,7 +171,7 @@ class FullCountDistribution:
             return 0.0
         c = float(self.k_true)
         k0, m0 = self.part0.k_est, self.part0.mass
-        order = np.argsort(self.part1.k_est, kind="stable")
+        order = np.argsort(self.part1.fold, kind="stable")
         k1 = self.part1.k_est[order]
         prefix = np.concatenate(([0.0], np.cumsum(self.part1.mass[order])))
         lo = _edge(k0, k1, (c - radius) - k0, lambda t: t - c < -radius)
@@ -191,11 +190,10 @@ def _count_distribution(mixture: EigenphaseMixture, p: int, n_target: int, k_tru
     """Push ``mixture`` forward: ``fold`` maps grid indices, ``to_k`` folded phases."""
     dist = exact_distribution(mixture, p)  # refuses a register before 2**p is formed
     size = dist.n_points
-    theta_est = TWO_PI * fold(np.arange(size), size) / size
-    return CountDistribution(p=p, n_target=n_target, k_true=k_true, part=part,
+    cells = fold(np.arange(size), size)
+    return CountDistribution(p=p, mass=dist.mass, n_target=n_target, k_true=k_true, part=part,
                              bound=partial_count_error_bound(k_true, n_target, size),
-                             oracle_queries=size - 1, omega=dist.omegas(),
-                             theta_est=theta_est, k_est=to_k(theta_est), mass=dist.mass)
+                             oracle_queries=size - 1, k_est=to_k(dist.omegas()[cells]), fold=cells)
 
 
 def partial_count(p: int, inst: BipartiteInstance, part: int) -> CountDistribution:

@@ -353,6 +353,22 @@ def test_sweep_empty_value_list_exits_1(capsys, tmp_path):
     assert err.strip() == "error: invalid sweep config: n0: no values"
 
 
+@pytest.mark.parametrize("line, message", [
+    ("n0 = a", "n0: expected integers, got 'a'"),
+    ("n0 = 2..x", "n0: expected integers, got '2..x'"),
+    ("n0 = 1..3,5", "n0: expected integers, got '1..3,5'"),
+    ("k0 = 1.5", "k0: expected integers, got '1.5'"),
+    ("p = 5..2", "p: empty range '5..2'"),
+], ids=["word", "range_end", "range_and_list", "fraction", "empty_range"])
+def test_sweep_value_error_names_key_and_text(capsys, tmp_path, line, message):
+    values = {"n0": "n0 = 2", "n1": "n1 = 2", "k0": "k0 = 1", "p": "p = 4"}
+    values[line.split()[0]] = line
+    config = tmp_path / "sweep.cfg"
+    config.write_text("".join(f"{text}\n" for text in values.values()))
+    assert run_cli(capsys, "sweep", "--config", str(config)) == (
+        1, "", f"error: invalid sweep config: {message}\n")
+
+
 def test_sweep_missing_config_file_exits_1(capsys, tmp_path):
     status, _, _ = run_cli(capsys, "sweep", "--config", str(tmp_path / "missing.cfg"))
     assert status == 1
@@ -446,8 +462,8 @@ def ref_render_json(rows, fieldnames):
 
 def ref_part_rows(dist):
     return [{"p": dist.p, "part": dist.part, "n_part": dist.n_target, "k_part": dist.k_true,
-             "omega_index": index, "omega_radians": float(dist.omega[index]),
-             "theta_est": float(dist.theta_est[index]), "k_est": float(dist.k_est[index]),
+             "omega_index": index, "omega_radians": float(dist.omegas()[index]),
+             "theta_est": float(dist.omegas()[dist.fold[index]]), "k_est": float(dist.k_est[index]),
              "mass": float(dist.mass[index]), "bound": dist.bound,
              "oracle_queries": dist.oracle_queries}
             for index in range(dist.mass.size)]
@@ -510,7 +526,7 @@ def ref_rows(args):
         if part is None:
             row.update(k_est_0=k_parts[0], k_est_1=k_parts[1])
         else:
-            row.update(part=part, theta_est=float(dist.theta_est[picks[0]]))
+            row.update(part=part, theta_est=float(dist.omegas()[dist.fold[picks[0]]]))
         rows.append(row)
     return rows, SAMPLED_TOTAL_FIELDS if part is None else SAMPLED_PART_FIELDS
 
@@ -1106,15 +1122,8 @@ def test_part_table_prints_theta_est_from_the_omega_text(monkeypatch, part):
     # omega_index and omega_radians; theta_est adds no text (P/4 + 1 values before).
     assert sum(formatted) == 2 * 4096 + sum(distinct)
     rows = list(csv.DictReader(io.StringIO(out.getvalue())))
-    assert [row["theta_est"] for row in rows] == ["%.17g" % v for v in dist.theta_est.tolist()]
-
-
-def test_part_table_refuses_an_estimate_off_the_grid():
-    dist = partial_count(6, BipartiteInstance.from_counts(4, 3, 2, 1), 0)
-    theta = dist.theta_est.copy()
-    theta[3] = np.nextafter(theta[3], 0.0)
-    with pytest.raises(RuntimeError, match="not a grid phase"):
-        cli._part_blocks(dataclasses.replace(dist, theta_est=theta))
+    theta = dist.omegas()[dist.fold]
+    assert [row["theta_est"] for row in rows] == ["%.17g" % v for v in theta.tolist()]
 
 
 @pytest.mark.parametrize("command", ["verify", "sweep"])

@@ -20,6 +20,7 @@ from qwcount import (
     grover_mixture,
     partial_count,
     partial_count_error_bound,
+    PhaseDistribution,
     total_variation,
 )
 from qwcount.reduced import WalkAngles, angles_from_instance, eigenphase_table, part_angle
@@ -115,10 +116,11 @@ def test_mirror_outcomes_are_bit_equal(p):
     size = 2**p
     m = np.arange(size)
     walk, grover = partial_count(p, K88, 0), grover_count(p, 16, 8)
+    walk_theta, grover_theta = walk.omegas()[walk.fold], grover.omegas()[grover.fold]
     for mirror in ((size - m) % size, (size // 2 - m) % size, (size // 2 + m) % size):
-        assert np.array_equal(walk.theta_est[mirror], walk.theta_est)
+        assert np.array_equal(walk_theta[mirror], walk_theta)
         assert np.array_equal(walk.k_est[mirror], walk.k_est)
-    assert np.array_equal(grover.theta_est[(size - m) % size], grover.theta_est)
+    assert np.array_equal(grover_theta[(size - m) % size], grover_theta)
     assert np.array_equal(grover.k_est[(size - m) % size], grover.k_est)
     if p >= 2:
         assert np.unique(walk.k_est).size == size // 4 + 1
@@ -130,12 +132,12 @@ def test_index_fold_matches_float_reference(p):
     eps = np.finfo(float).eps
     for part, n in ((0, 5), (1, 7)):
         walk = partial_count(p, K57, part)
-        reference = fold_phase(walk.omega)
-        assert np.abs(walk.theta_est - reference).max() <= 2 * np.spacing(math.pi)
+        reference = fold_phase(walk.omegas())
+        assert np.abs(walk.omegas()[walk.fold] - reference).max() <= 2 * np.spacing(math.pi)
         assert np.abs(walk.k_est - estimate_k(reference, n)).max() <= 4 * eps * n
     grover = grover_count(p, 16, 4)
-    reference = reflect_phase(grover.omega)
-    assert np.abs(grover.theta_est - reference).max() <= 2 * np.spacing(math.pi)
+    reference = reflect_phase(grover.omegas())
+    assert np.abs(grover.omegas()[grover.fold] - reference).max() <= 2 * np.spacing(math.pi)
     assert np.abs(grover.k_est - estimate_k(reference / 2.0, 16)).max() <= 4 * eps * 16
 
 
@@ -228,7 +230,7 @@ def test_part_distribution_depends_only_on_the_part_case(p):
             other = (k + m + p) % (m + 1)
             for dist in (partial_count(p, BipartiteInstance.from_counts(n, m, k, other), 0),
                          partial_count(p, BipartiteInstance.from_counts(m, n, other, k), 1)):
-                for name in ("omega", "theta_est", "k_est", "mass"):
+                for name in ("fold", "k_est", "mass"):
                     assert getattr(dist, name).tobytes() == getattr(reference, name).tobytes(), (
                         n, k, m, dist.part, name)
 
@@ -266,19 +268,21 @@ def test_partial_count_unmarked_part():
 
 def test_partial_count_metadata():
     dist = partial_count(6, FIG2, 1)
+    assert isinstance(dist, PhaseDistribution)
     assert dist.part == 1 and dist.n_target == 3 and dist.k_true == 1
     assert dist.oracle_queries == 63
     assert dist.bound == partial_count_error_bound(1, 3, 64)
     assert dist.mass.sum() == pytest.approx(1.0, abs=1e-10)
-    assert np.array_equal(dist.omega, TWO_PI * np.arange(64) / 64)
-    assert ((0.0 <= dist.theta_est) & (dist.theta_est <= math.pi / 2)).all()
+    assert np.array_equal(dist.omegas(), TWO_PI * np.arange(64) / 64)
+    theta = dist.omegas()[dist.fold]
+    assert ((0.0 <= theta) & (theta <= math.pi / 2)).all()
     assert all(abs(k - 3 * math.sin(t) ** 2) < 1e-15
-               for k, t in zip(dist.k_est.tolist(), dist.theta_est.tolist()))
-    for name in ("omega", "theta_est", "k_est", "mass"):
+               for k, t in zip(dist.k_est.tolist(), theta.tolist()))
+    for name, dtype in (("fold", np.intp), ("k_est", np.float64), ("mass", np.float64)):
         values = getattr(dist, name)
-        assert values.dtype == np.float64 and values.shape == (64,)
+        assert values.dtype == dtype and values.shape == (64,)
         with pytest.raises(ValueError):
-            values[0] = 0.0
+            values[0] = 0
 
 
 def test_partial_count_matches_circuit_pushforward():
@@ -438,8 +442,61 @@ def test_part_walk_quarter_fold_is_grover_fold_mod_p(p):
     walk = partial_count(p + 1, BipartiteInstance.from_counts(7, 1, 3, 0), 0)
     grover = grover_count(p, 7, 3)
     cells = np.arange(2 * size) % size
-    assert np.array_equal(walk.theta_est, grover.theta_est[cells] / 2)
+    assert np.array_equal(walk.fold, grover.fold[cells])
+    assert np.array_equal(walk.omegas()[walk.fold], grover.omegas()[grover.fold][cells] / 2)
     assert np.array_equal(walk.k_est, grover.k_est[cells])
+
+
+@pytest.mark.parametrize("p", range(1, 21))
+def test_fold_maps_every_outcome_onto_a_first_cell(p):
+    # Cells 0..F fold onto themselves and every outcome onto one of them, its
+    # mirror outcomes onto the same one: F = P/4 for the walk (0 at p = 1)
+    # and P/2 for Grover.  The fold does not depend on (n, k).
+    size = 2**p
+    m = np.arange(size)
+    walk_mirrors = ((size - m) % size, (size // 2 - m) % size, (size // 2 + m) % size)
+    for dist, last, mirrors in ((partial_count(p, K57, 0), size // 4, walk_mirrors),
+                                (grover_count(p, 7, 3), size // 2, walk_mirrors[:1])):
+        fold = dist.fold
+        assert np.array_equal(fold[fold], fold)
+        assert np.array_equal(np.unique(fold), np.arange(last + 1))
+        for mirror in mirrors:
+            assert np.array_equal(fold[mirror], fold)
+
+
+@pytest.mark.parametrize("p", [2, 12, 20])
+def test_counts_strictly_increase_over_the_first_cells(p):
+    # So k_est[:F + 1] lists every estimate once, and sorting outcomes by
+    # fold sorts them by count, the order the joint mass reads part 1 in.
+    for n in (1, 7, 64, 10**9, 2**53 - 1):
+        for dist in (partial_count(p, BipartiteInstance.from_counts(n, 1, 1, 0), 0),
+                     grover_count(p, n, 1)):
+            counts = dist.k_est[:dist.fold.max() + 1]
+            assert (counts[1:] > counts[:-1]).all(), (n, dist.part)
+            assert np.array_equal(np.argsort(dist.fold, kind="stable"),
+                                  np.argsort(dist.k_est, kind="stable")), (n, dist.part)
+
+
+@pytest.mark.parametrize("p", range(1, 13))
+def test_complement_marks_reverse_the_fold_table(p):
+    # Marking the other n − k vertices reflects the part angle, θ → π − θ,
+    # so cell c of (n, k) carries the mass of cell F − c of (n, n − k) and
+    # the two cells' counts sum to n.  Measured worst gaps: masses 2·P·eps
+    # at p = 1 and 0.75·P·eps from p = 2, sums 1.8·n·eps.  At p = 1 the walk
+    # has the one cell 0.
+    eps = np.finfo(float).eps
+    for n in range(1, 17):
+        walk = [partial_count(p, BipartiteInstance.from_counts(n, 1, k, 0), 0)
+                for k in range(n + 1)]
+        grover = [grover_count(p, n, k) for k in range(n + 1)]
+        for runs in (walk, grover):
+            tables = [np.bincount(dist.fold, dist.mass) for dist in runs]
+            for k in range(n + 1):
+                gap = np.abs(tables[k] - tables[n - k][::-1]).max()
+                assert gap <= 4 * 2**p * eps, (n, k, runs[k].part)
+            counts = runs[0].k_est[:runs[0].fold.max() + 1]
+            if counts.size > 1:
+                assert np.abs(counts + counts[::-1] - n).max() <= 4 * n * eps, (n, runs[0].part)
 
 
 def test_grover_mixture_weights():
